@@ -596,7 +596,6 @@ run(const Args &args)
     const uint64_t answered =
         served - warm_up.readsFailed() - ref_run.readsFailed();
 
-    const std::vector<double> ref_latency = ref_run.latenciesMs();
     if (!traced) {
         // Accuracy against the planted truth.
         const eval::AccuracyEvaluator evaluator(
@@ -613,7 +612,6 @@ run(const Args &args)
                     ratio(static_cast<double>(answered),
                           static_cast<double>(served)),
                     "fraction");
-        metrics.add("latency_p50_ms", percentile(ref_latency, 0.50), "ms");
     } else {
         // ---- traced run: the same offline pass with spans, checked
         //      against the untraced one, then the layer replay ----
@@ -820,6 +818,9 @@ run(const Args &args)
                     "fraction");
         metrics.add("core.scaling_eff",
                     ratio(reads_per_s, threads * reads_per_s_1t), "fraction");
+        const std::vector<double> ref_latency = ref_run.latenciesMs();
+        metrics.add("serve.latency_p50_ms", percentile(ref_latency, 0.50),
+                    "ms");
         metrics.add("serve.latency_p99_ms",
                     segmentedP99(ref_latency, kLatencySegments), "ms");
         metrics.add("serve.capacity_reads_per_s", capacity, "reads/s");
