@@ -11,8 +11,9 @@ The first form builds the C++ benchmark program (perfbench/CMakeLists.txt,
 into $CARGO_TARGET_DIR or .bench_build), runs one workload and prints its
 result as the last line of standard output: one JSON object with
 `correct`, `attempted`, `failed` and `metrics` (end-to-end metrics with
---trace 0, per-layer metrics with --trace 1). A failed correctness gate
-exits non-zero without a result line.
+--trace 0, per-layer metrics with --trace 1). The metrics only the serve workload has (the daemon's
+latency and capacity, the serve layer's) are listed on standard error.
+A failed correctness gate exits non-zero without a result line.
 
 --all runs every workload untraced and traced, prints every metric with
 its unit and the scale-exposure ratio. --self-test runs the benchmark's
@@ -59,7 +60,8 @@ def build():
 
 
 def run_workload(binary, workload, seed, seconds, trace):
-    """Runs one workload; returns (exit code, result dict or None)."""
+    """Runs one workload; returns (exit code, result dict or None,
+    workload-only metrics dict)."""
     work = os.path.join(".bench_work", "%s-s%d-p%d" % (workload, seed, os.getpid()))
     shutil.rmtree(work, ignore_errors=True)
     os.makedirs(work)
@@ -75,13 +77,21 @@ def run_workload(binary, workload, seed, seconds, trace):
         proc.kill()
         proc.communicate()
         log("perfbench: %s timed out after %d s" % (workload, RUN_TIMEOUT_S))
-        return 1, None
+        return 1, None, {}
     finally:
         shutil.rmtree(work, ignore_errors=True)
     lines = [line for line in stdout.splitlines() if line.strip()]
     if proc.returncode != 0 or not lines:
-        return proc.returncode or 1, None
-    return 0, json.loads(lines[-1])
+        return proc.returncode or 1, None, {}
+    extra = {}
+    if len(lines) > 1 and lines[-2].startswith('{"workload_metrics"'):
+        extra = json.loads(lines[-2])["workload_metrics"]
+    return 0, json.loads(lines[-1]), extra
+
+
+def format_metrics(metrics):
+    return ["  %-32s %14.6g %s" % (name, m["value"], m["unit"])
+            for name, m in metrics.items()]
 
 
 def run_all(binary, seed, seconds):
@@ -90,7 +100,8 @@ def run_all(binary, seed, seconds):
     ok = True
     for workload in WORKLOADS:
         for trace in (0, 1):
-            code, result = run_workload(binary, workload, seed, seconds, trace)
+            code, result, extra = run_workload(binary, workload, seed,
+                                               seconds, trace)
             if code != 0 or not result or not result["correct"]:
                 log("perfbench: %s (trace %d) FAILED" % (workload, trace))
                 ok = False
@@ -98,8 +109,12 @@ def run_all(binary, seed, seconds):
             kind = "per-layer" if trace else "end-to-end"
             print("== %s (%s; attempted %d, failed %d)" % (
                 workload, kind, result["attempted"], result["failed"]))
-            for name, metric in result["metrics"].items():
-                print("  %-32s %14.6g %s" % (name, metric["value"], metric["unit"]))
+            for line in format_metrics(result["metrics"]):
+                print(line)
+            if extra:
+                print("  -- %s only" % workload)
+                for line in format_metrics(extra):
+                    print(line)
             if trace:
                 layer[workload] = result["metrics"]
     key = "graph.linearize.us_per_region"
@@ -132,11 +147,14 @@ def main():
     if args.all:
         return run_all(binary, args.seed, args.seconds)
     start = time.monotonic()
-    code, result = run_workload(binary, args.workload, args.seed,
-                                args.seconds, args.trace)
+    code, result, extra = run_workload(binary, args.workload, args.seed,
+                                       args.seconds, args.trace)
     log("perfbench: %s finished in %.1f s" % (args.workload, time.monotonic() - start))
     if code != 0 or result is None:
         return code or 1
+    if extra:
+        log("perfbench: %s only:\n%s" % (args.workload,
+                                         "\n".join(format_metrics(extra))))
     print(json.dumps(result))
     return 0
 

@@ -3,20 +3,24 @@
  * segram_bench: the end-to-end benchmark program.
  *
  *   segram_bench --workload NAME --seed N --seconds S --trace 0|1
- *                --work DIR [--threads T] [--trace-out FILE] [--smoke]
+ *                --work DIR [--trace-out FILE] [--smoke]
  *   segram_bench --workload NAME --seed N --work DIR --gen-only
  *
  * One run generates the workload's inputs from the seed, sets the
  * reference up several times (index build, pack save, pack load,
  * mapper construction; for the serve workload through the daemon's
  * first PING), then maps the reads through the paths users run:
- * FASTX -> ShardedBatchMapper -> PAF at T threads and at 1 thread,
- * and the in-process daemon over a Unix socket in an open loop. It
- * checks the outputs (the correctness gate) and prints one JSON line:
- * the end-to-end metrics with --trace 0, the per-layer metrics of the
- * traced run with --trace 1. Any gate failure exits 1 without a
- * result line.
+ * FASTX -> ShardedBatchMapper -> PAF at T = min(nproc, 4) threads and
+ * at 1 thread, and, on the serve workload only, the in-process daemon
+ * over a Unix socket in an open loop. It checks the outputs (the
+ * correctness gate) and prints, as its last line, one JSON object: the
+ * end-to-end metrics every workload reports with --trace 0, the
+ * per-layer metrics with --trace 1. The metrics only one workload has
+ * (the daemon's) go on the line before it, as {"workload_metrics": ...}.
+ * Any gate failure exits 1 without a result line.
  */
+
+#include <malloc.h>
 
 #include <algorithm>
 #include <cstdio>
@@ -28,7 +32,9 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -59,7 +65,6 @@ struct Args
     int trace = 0;
     std::string work;
     std::string traceOut;
-    int threads = 0;
     bool genOnly = false;
     bool smoke = false;
 };
@@ -70,8 +75,7 @@ usage(const char *why)
     std::fprintf(stderr,
                  "segram_bench: %s\nusage: segram_bench --workload NAME "
                  "--seed N --seconds S --trace 0|1 --work DIR "
-                 "[--threads T] [--trace-out FILE] [--smoke] "
-                 "[--gen-only]\n",
+                 "[--trace-out FILE] [--smoke] [--gen-only]\n",
                  why);
     std::exit(2);
 }
@@ -99,8 +103,6 @@ parseArgs(int argc, char **argv)
             args.work = value();
         else if (flag == "--trace-out")
             args.traceOut = value();
-        else if (flag == "--threads")
-            args.threads = std::stoi(value());
         else if (flag == "--gen-only")
             args.genOnly = true;
         else if (flag == "--smoke")
@@ -128,23 +130,53 @@ median(std::vector<double> values)
                       : 0.5 * (values[n / 2 - 1] + values[n / 2]);
 }
 
-/** Resets the kernel's peak-RSS mark (VmHWM) to the current RSS. */
-void
-resetPeakRss()
+/** VmRSS and VmHWM (peak RSS) of this process, MiB. */
+struct RssMb
 {
-    std::ofstream("/proc/self/clear_refs") << "5";
-}
+    double current = 0.0;
+    double peak = 0.0;
+};
 
-/** @return VmHWM of this process in MiB. */
-double
-peakRssMb()
+RssMb
+readRss()
 {
     std::ifstream status("/proc/self/status");
+    RssMb rss;
     std::string line;
-    while (std::getline(status, line))
-        if (line.rfind("VmHWM:", 0) == 0)
-            return std::stod(line.substr(6)) / 1024.0;
-    return 0.0;
+    while (std::getline(status, line)) {
+        if (line.rfind("VmRSS:", 0) == 0)
+            rss.current = std::stod(line.substr(6)) / 1024.0;
+        else if (line.rfind("VmHWM:", 0) == 0)
+            rss.peak = std::stod(line.substr(6)) / 1024.0;
+    }
+    if (rss.current <= 0.0 || rss.peak <= 0.0)
+        throw std::runtime_error("no VmRSS/VmHWM in /proc/self/status");
+    return rss;
+}
+
+/**
+ * Starts the window peak_rss_mb measures: hands the heap freed by the
+ * set-ups back to the kernel, then resets the peak-RSS mark (VmHWM) to
+ * the current RSS. @return The RSS the window starts from.
+ * @throws std::runtime_error when the kernel did not reset the mark, so
+ * the peak of the index builds can never be reported as the mapping's.
+ */
+double
+startPeakRssWindow()
+{
+    malloc_trim(0);
+    std::ofstream clear("/proc/self/clear_refs");
+    clear << "5";
+    clear.close();
+    if (!clear)
+        throw std::runtime_error(
+            "cannot reset the peak RSS: writing /proc/self/clear_refs failed");
+    const RssMb rss = readRss();
+    if (rss.peak > rss.current + 1.0)
+        throw std::runtime_error("the peak RSS was not reset (VmHWM " +
+                                 std::to_string(rss.peak) + " MiB, VmRSS " +
+                                 std::to_string(rss.current) + " MiB)");
+    return rss.current;
 }
 
 /**
@@ -178,6 +210,12 @@ class Metrics
     add(const std::string &name, double value, const std::string &unit)
     {
         entries_.push_back({name, value, unit});
+    }
+
+    bool
+    empty() const
+    {
+        return entries_.empty();
     }
 
     std::string
@@ -296,9 +334,9 @@ startDaemon(const std::string &pack, const std::string &socket, int threads,
 }
 
 /**
- * One full set-up. For the serve workload the daemon is part of it
- * (set-up ends when the first PING is answered); otherwise the daemon
- * is started afterwards, outside the timed set-up.
+ * One full set-up. On the serve workload the daemon is part of it
+ * (set-up ends when the first PING is answered); the other workloads
+ * never start it.
  */
 SetupTimes
 setUp(const WorkloadSpec &spec, const WorkloadInputs &inputs,
@@ -337,7 +375,7 @@ setUp(const WorkloadSpec &spec, const WorkloadInputs &inputs,
         prepared.reference, mapConfig(), batch);
     tracer.end(span);
     t.mapperInit = secondsSince(t0);
-    if (spec.fromGfa) {
+    if (spec.serve) {
         t0 = Clock::now();
         prepared.daemon = startDaemon(pack, socket, threads,
                                       &prepared.service, tracer, parent);
@@ -350,8 +388,8 @@ setUp(const WorkloadSpec &spec, const WorkloadInputs &inputs,
 double
 setupSeconds(const WorkloadSpec &spec, const SetupTimes &t)
 {
-    return spec.fromGfa ? t.build + t.save + t.daemonStart
-                        : t.build + t.save + t.load + t.mapperInit;
+    return spec.serve ? t.build + t.save + t.daemonStart
+                      : t.build + t.save + t.load + t.mapperInit;
 }
 
 /** Splits the reads into request batches with their offline PAF. */
@@ -404,6 +442,119 @@ gateServe(const OpenLoopResult &run, const std::string &leg)
     }
     gate(mapped + unmapped + failed == run.readsSent(),
          leg + ": reads sent are not all accounted for");
+}
+
+/** What the daemon legs of the serve workload measured. */
+struct ServeLegs
+{
+    OpenLoopResult reference; ///< the open loop at the reference rate
+    double capacity = 0.0;    ///< reads/s; 0 when the walk did not run
+    uint64_t sent = 0;        ///< reads sent over every leg
+    uint64_t answered = 0;    ///< of those, answered
+};
+
+/**
+ * The highest rung of the fixed ladder whose p99 meets the limit with
+ * no growing backlog, as goodput in reads/s. The walk starts at the
+ * reference rate and climbs one rung at a time; a single failed rung
+ * (one stall of the shared host) does not end it, two in a row do.
+ * Below a failing reference rate it walks down to the first passing
+ * rung.
+ */
+double
+capacityWalk(const ServeSpec &spec, const std::string &socket,
+             const ServeCorpus &corpus, int connections, uint64_t seed,
+             bool smoke, const OpenLoopResult &reference, ServeLegs &legs)
+{
+    const auto passes_rung = [&](const OpenLoopResult &r) {
+        const std::vector<double> lat = r.latenciesMs();
+        const size_t tail = std::max<size_t>(1, lat.size() / 10);
+        const std::vector<double> last(lat.end() - static_cast<long>(tail),
+                                       lat.end());
+        return segmentedP99(lat, 3) <= spec.p99LimitMs &&
+               median(last) <= spec.p99LimitMs;
+    };
+    const auto rung_rate = [&](int k) {
+        double rate = spec.ladderBase;
+        for (int i = 0; i < k; ++i)
+            rate *= spec.ladderStep;
+        return rate;
+    };
+    int k = 0;
+    while (k + 1 < spec.ladderRungs && rung_rate(k + 1) <= spec.refRate)
+        ++k;
+    const bool ref_passes = passes_rung(reference);
+    double capacity = ref_passes ? reference.goodputReadsPerSec() : 0.0;
+    const int step = ref_passes ? 1 : -1;
+    int fails_in_row = 0;
+    Tracer off(false);
+    const int max_probes = smoke ? 1 : 10;
+    for (int probe = 0; probe < max_probes && fails_in_row < 2; ++probe) {
+        k += step;
+        if (k < 0 || k >= spec.ladderRungs)
+            break;
+        const OpenLoopResult r =
+            runOpenLoop(socket, corpus, rung_rate(k), spec.probeRequests,
+                        connections, seed * 7919 + 2 + probe, off, -1);
+        gateServe(r, "capacity probe");
+        legs.sent += r.readsSent();
+        legs.answered += r.readsSent() - r.readsFailed();
+        const bool pass = passes_rung(r);
+        std::fprintf(stderr,
+                     "[bench] capacity probe %.0f reads/s: p99 %.2f ms, "
+                     "goodput %.1f reads/s -> %s\n",
+                     rung_rate(k), segmentedP99(r.latenciesMs(), 3),
+                     r.goodputReadsPerSec(), pass ? "pass" : "fail");
+        if (pass && step > 0) {
+            capacity = r.goodputReadsPerSec();
+            fails_in_row = 0;
+        } else if (pass) {
+            capacity = r.goodputReadsPerSec();
+            break;
+        } else {
+            ++fails_in_row;
+        }
+    }
+    return capacity;
+}
+
+/**
+ * The daemon legs: a warm-up, the open loop at the reference rate (a
+ * span per request when traced) and, when @p walk_capacity, the
+ * capacity walk. Every reply is gated against the offline PAF.
+ */
+ServeLegs
+runServeLegs(const ServeSpec &spec, const std::string &socket,
+             const ServeCorpus &corpus, int connections, uint64_t seed,
+             bool walk_capacity, bool smoke, Tracer &tracer)
+{
+    ServeLegs legs;
+    const auto count = [&](const OpenLoopResult &r) {
+        legs.sent += r.readsSent();
+        legs.answered += r.readsSent() - r.readsFailed();
+    };
+    // Warm the daemon first (its own pack mapping, its workers'
+    // scratch): every batch once, back to back. A daemon pays this once
+    // per start; the first few hundred requests otherwise run at half
+    // speed and the reference leg would time the warm-up.
+    Tracer off(false);
+    const OpenLoopResult warm_up =
+        runOpenLoop(socket, corpus, std::numeric_limits<double>::infinity(),
+                    corpus.batches.size(), connections, seed * 7919, off, -1);
+    gateServe(warm_up, "warm-up");
+    count(warm_up);
+    const size_t ref_requests =
+        smoke ? std::max<size_t>(8, spec.refRequests / 10) : spec.refRequests;
+    const int64_t span = tracer.begin("serve.reference_rate");
+    legs.reference = runOpenLoop(socket, corpus, spec.refRate, ref_requests,
+                                 connections, seed * 7919 + 1, tracer, span);
+    tracer.end(span, legs.reference.readsSent());
+    gateServe(legs.reference, "reference-rate leg");
+    count(legs.reference);
+    if (walk_capacity)
+        legs.capacity = capacityWalk(spec, socket, corpus, connections, seed,
+                                     smoke, legs.reference, legs);
+    return legs;
 }
 
 std::vector<io::FastxRecord>
@@ -466,9 +617,7 @@ run(const Args &args)
     }
 
     const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-    const int threads =
-        args.threads > 0 ? args.threads : static_cast<int>(std::min(hw, 4u));
-    const int connections = static_cast<int>(std::min(hw, 4u));
+    const int threads = static_cast<int>(std::min(hw, 4u));
     const bool traced = args.trace == 1;
     Tracer tracer(traced);
     const std::string pack = dir + "/ref.segram";
@@ -476,7 +625,7 @@ run(const Args &args)
     const core::SegramConfig config = mapConfig();
 
     // ---- set-up, several times; the last one stays up ----
-    const int setups = args.smoke ? 1 : 3;
+    const int setups = args.smoke ? 1 : 5;
     std::vector<SetupTimes> setup_times;
     Prepared prepared;
     const int64_t setup_span = tracer.begin("setup");
@@ -484,9 +633,6 @@ run(const Args &args)
         setup_times.push_back(setUp(*spec, inputs, pack, socket, threads,
                                     prepared, tracer, setup_span));
     tracer.end(setup_span);
-    if (prepared.daemon == nullptr)
-        prepared.daemon = startDaemon(pack, socket, threads,
-                                      &prepared.service, tracer, -1);
     const uint64_t pack_bytes = std::filesystem::file_size(pack);
     const TargetLengths targets = targetLengths(prepared.reference);
     core::ShardedBatchConfig single;
@@ -504,8 +650,15 @@ run(const Args &args)
     for (const SetupTimes &t : setup_times)
         setup_totals.push_back(setupSeconds(*spec, t));
 
-    resetPeakRss();
+    const double window_start_mb = startPeakRssWindow();
+    std::fprintf(stderr,
+                 "[bench] peak-RSS window starts at %.1f MiB resident "
+                 "(pack file %.1f MiB%s)\n",
+                 window_start_mb, static_cast<double>(pack_bytes) / 1048576.0,
+                 spec->serve ? ", mapped by the offline mapper and the daemon"
+                             : "");
     Metrics metrics;
+    Metrics workload_metrics;
     uint64_t attempted = 0;
     uint64_t failed = 0;
 
@@ -515,6 +668,8 @@ run(const Args &args)
     const std::string paf_1t = dir + "/map.t1.paf";
     const std::string paf_tmp = dir + "/map.repeat.paf";
     Tracer off(false);
+    uint64_t offline_reads = 0;
+    uint64_t offline_answered = 0;
     const auto timed_passes = [&](const core::ShardedBatchMapper &mapper,
                                   const std::string &paf, double budget,
                                   int min_passes) {
@@ -526,7 +681,13 @@ run(const Args &args)
             passes.push_back(runOfflinePass(mapper, targets, inputs.readsPath,
                                             passes.empty() ? paf : paf_tmp,
                                             off, -1));
-            attempted += passes.back().reads;
+            const PassResult &pass = passes.back();
+            // Every read has a result (mapped or unmapped); one
+            // without is a failed read.
+            offline_reads += pass.reads;
+            offline_answered += pass.outcomes.size();
+            attempted += pass.reads;
+            failed += pass.reads - pass.outcomes.size();
             if (passes.size() > 1)
                 gate(readWholeFile(paf_tmp) == readWholeFile(paf),
                      "PAF differs between two passes at the same thread "
@@ -557,6 +718,7 @@ run(const Args &args)
              " threads differs from PAF at 1 thread");
     const double reads_per_s = median(rates(nt_passes));
     const double reads_per_s_1t = median(rates(t1_passes));
+
     const PassResult &reference_pass = nt_passes.back();
     gate(sameCounters(reference_pass.stats, t1_passes.front().stats),
          "pipeline counters differ between thread counts");
@@ -567,34 +729,25 @@ run(const Args &args)
                  static_cast<unsigned long long>(reference_pass.reads),
                  reads_per_s, threads, reads_per_s_1t);
 
-    // ---- serve: warm-up, then the open loop at the reference rate ----
-    const ServeCorpus corpus =
-        buildCorpus(reads, offline_paf, spec->requestReads);
-    const size_t ref_requests =
-        args.smoke ? std::max<size_t>(8, spec->refRequests / 10)
-                   : spec->refRequests;
-    // Warm the daemon first (its own pack mapping, its workers'
-    // scratch): every batch once, back to back. A daemon pays this once
-    // per start; the first few hundred requests otherwise run at half
-    // speed and the reference leg would time the warm-up.
-    const OpenLoopResult warm_up =
-        runOpenLoop(socket, corpus, std::numeric_limits<double>::infinity(),
-                    corpus.batches.size(), connections, args.seed * 7919,
-                    off, -1);
-    gateServe(warm_up, "warm-up");
-    attempted += warm_up.readsSent();
-    failed += warm_up.readsFailed();
-    const int64_t serve_span = tracer.begin("serve.reference_rate");
-    const OpenLoopResult ref_run =
-        runOpenLoop(socket, corpus, spec->refRate, ref_requests, connections,
-                    args.seed * 7919 + 1, tracer, serve_span);
-    tracer.end(serve_span, ref_run.readsSent());
-    gateServe(ref_run, "reference-rate leg");
-    attempted += ref_run.readsSent();
-    failed += ref_run.readsFailed();
-    const uint64_t served = warm_up.readsSent() + ref_run.readsSent();
-    const uint64_t answered =
-        served - warm_up.readsFailed() - ref_run.readsFailed();
+    // ---- serve workload: the daemon's warm-up, the open loop at the
+    //      reference rate and, untraced, the capacity walk ----
+    ServeCorpus corpus;
+    std::optional<ServeLegs> serve;
+    if (spec->serve) {
+        corpus = buildCorpus(reads, offline_paf, spec->serve->requestReads);
+        // At most nproc connections, as many as mapper threads.
+        serve = runServeLegs(*spec->serve, socket, corpus, threads, args.seed,
+                             !traced, args.smoke, tracer);
+        attempted += serve->sent;
+        failed += serve->sent - serve->answered;
+    }
+    // Reads answered over reads submitted, on the path the workload
+    // ships: daemon replies when it serves, mapBatch results otherwise.
+    const double answered_frac =
+        serve ? ratio(static_cast<double>(serve->answered),
+                      static_cast<double>(serve->sent))
+              : ratio(static_cast<double>(offline_answered),
+                      static_cast<double>(offline_reads));
 
     if (!traced) {
         // Accuracy against the planted truth.
@@ -605,71 +758,23 @@ run(const Args &args)
         metrics.add("reads_per_s", reads_per_s, "reads/s");
         metrics.add("reads_per_s_1t", reads_per_s_1t, "reads/s");
         metrics.add("setup_s", median(setup_totals), "s");
-        metrics.add("peak_rss_mb", peakRssMb(), "MiB");
+        metrics.add("peak_rss_mb", readRss().peak, "MiB");
         metrics.add("sensitivity", accuracy.overall.sensitivity(), "fraction");
         metrics.add("precision", accuracy.overall.precision(), "fraction");
-        metrics.add("answered_frac",
-                    ratio(static_cast<double>(answered),
-                          static_cast<double>(served)),
-                    "fraction");
+        metrics.add("answered_frac", answered_frac, "fraction");
+        if (serve) {
+            const std::vector<double> latency = serve->reference.latenciesMs();
+            workload_metrics.add("latency_p50_ms", percentile(latency, 0.50),
+                                 "ms");
+            workload_metrics.add("latency_p99_ms",
+                                 segmentedP99(latency, kLatencySegments),
+                                 "ms");
+            workload_metrics.add("capacity_reads_per_s", serve->capacity,
+                                 "reads/s");
+        }
     } else {
         // ---- traced run: the same offline pass with spans, checked
         //      against the untraced one, then the layer replay ----
-        // Capacity: the highest rung of the fixed ladder whose p99 meets
-        // the limit with no growing backlog.
-        const auto passes_rung = [&](const OpenLoopResult &r) {
-            const std::vector<double> lat = r.latenciesMs();
-            const size_t tail = std::max<size_t>(1, lat.size() / 10);
-            const std::vector<double> last(lat.end() - static_cast<long>(tail),
-                                           lat.end());
-            return segmentedP99(lat, 3) <= spec->p99LimitMs &&
-                   median(last) <= spec->p99LimitMs;
-        };
-        const auto rung_rate = [&](int k) {
-            double rate = spec->ladderBase;
-            for (int i = 0; i < k; ++i)
-                rate *= spec->ladderStep;
-            return rate;
-        };
-        // Walk up the ladder from the reference rate; a single failed
-        // rung (one stall of the shared host) does not end the walk,
-        // two in a row do. Below a failing reference rate, walk down.
-        int k = 0;
-        while (k + 1 < spec->ladderRungs && rung_rate(k + 1) <= spec->refRate)
-            ++k;
-        const bool ref_passes = passes_rung(ref_run);
-        double capacity = ref_passes ? ref_run.goodputReadsPerSec() : 0.0;
-        const int step = ref_passes ? 1 : -1;
-        int fails_in_row = 0;
-        const int max_probes = args.smoke ? 1 : 10;
-        for (int probe = 0; probe < max_probes && fails_in_row < 2; ++probe) {
-            k += step;
-            if (k < 0 || k >= spec->ladderRungs)
-                break;
-            const OpenLoopResult r = runOpenLoop(
-                socket, corpus, rung_rate(k), spec->probeRequests,
-                connections, args.seed * 7919 + 2 + probe, tracer, -1);
-            gateServe(r, "capacity probe");
-            attempted += r.readsSent();
-            failed += r.readsFailed();
-            const bool pass = passes_rung(r);
-            std::fprintf(stderr,
-                         "[bench] capacity probe %.0f reads/s: p99 %.2f ms, "
-                         "goodput %.1f reads/s -> %s\n",
-                         rung_rate(k), segmentedP99(r.latenciesMs(), 3),
-                         r.goodputReadsPerSec(), pass ? "pass" : "fail");
-            if (pass && step > 0) {
-                capacity = r.goodputReadsPerSec();
-                fails_in_row = 0;
-            } else if (pass) {
-                capacity = r.goodputReadsPerSec();
-                break;
-            } else {
-                ++fails_in_row;
-            }
-        }
-
-
         // Traced and untraced passes alternate, so the tracing overhead
         // compares medians taken over the same stretch of time.
         const std::string paf_traced = dir + "/map.traced.paf";
@@ -710,28 +815,6 @@ run(const Args &args)
              "replay found a different number of alignments");
         gate(replay.outcomes == reference_pass.outcomes,
              "replay outcomes differ from the mapper's");
-
-        // Direct service calls on the request batches (no socket).
-        std::vector<double> service_ms(corpus.batches.size());
-        for (size_t b = 0; b < corpus.batches.size(); ++b) {
-            const auto t0 = Clock::now();
-            const int64_t span = tracer.begin(
-                "serve.service_map", -1, static_cast<int64_t>(b));
-            const serve::Reply reply = prepared.service->map(corpus.batches[b]);
-            tracer.end(span, corpus.batches[b].size());
-            service_ms[b] = secondsSince(t0) * 1e3;
-            gate(reply.ok && reply.payload == corpus.expectedPaf[b],
-                 "direct MappingService::map differs from the offline PAF");
-        }
-        std::vector<double> rtt;
-        std::vector<double> late;
-        std::vector<double> overhead;
-        for (const RequestLog &r : ref_run.requests) {
-            const double ms = (r.replySec - r.sendSec) * 1e3;
-            rtt.push_back(ms);
-            late.push_back((r.sendSec - r.dueSec) * 1e3);
-            overhead.push_back(ms - service_ms[r.batch]);
-        }
 
         const core::PipelineStats &s = reference_pass.stats;
         const double n_reads = static_cast<double>(s.readsTotal);
@@ -818,23 +901,48 @@ run(const Args &args)
                     "fraction");
         metrics.add("core.scaling_eff",
                     ratio(reads_per_s, threads * reads_per_s_1t), "fraction");
-        const std::vector<double> ref_latency = ref_run.latenciesMs();
-        metrics.add("serve.latency_p50_ms", percentile(ref_latency, 0.50),
-                    "ms");
-        metrics.add("serve.latency_p99_ms",
-                    segmentedP99(ref_latency, kLatencySegments), "ms");
-        metrics.add("serve.capacity_reads_per_s", capacity, "reads/s");
-        metrics.add("serve.rtt_p50_ms", percentile(rtt, 0.50), "ms");
-        metrics.add("serve.rtt_p99_ms", percentile(rtt, 0.99), "ms");
-        metrics.add("serve.send_late_p99_ms", percentile(late, 0.99), "ms");
-        metrics.add("serve.service_map_p50_ms", percentile(service_ms, 0.50),
-                    "ms");
-        metrics.add("serve.overhead_p50_ms", percentile(overhead, 0.50), "ms");
-        metrics.add("serve.busy_replies",
-                    static_cast<double>(ref_run.busyReplies()), "count");
         metrics.add("trace.overhead_frac",
                     ratio(median(traced_walls), median(untraced_walls)) - 1.0,
                     "fraction");
+
+        if (serve) {
+            // Direct service calls on the request batches (no socket).
+            std::vector<double> service_ms(corpus.batches.size());
+            for (size_t b = 0; b < corpus.batches.size(); ++b) {
+                const auto t0 = Clock::now();
+                const int64_t span = tracer.begin(
+                    "serve.service_map", -1, static_cast<int64_t>(b));
+                const serve::Reply reply =
+                    prepared.service->map(corpus.batches[b]);
+                tracer.end(span, corpus.batches[b].size());
+                service_ms[b] = secondsSince(t0) * 1e3;
+                gate(reply.ok && reply.payload == corpus.expectedPaf[b],
+                     "direct MappingService::map differs from the offline "
+                     "PAF");
+            }
+            std::vector<double> rtt;
+            std::vector<double> late;
+            std::vector<double> overhead;
+            for (const RequestLog &r : serve->reference.requests) {
+                const double ms = (r.replySec - r.sendSec) * 1e3;
+                rtt.push_back(ms);
+                late.push_back((r.sendSec - r.dueSec) * 1e3);
+                overhead.push_back(ms - service_ms[r.batch]);
+            }
+            workload_metrics.add("serve.rtt_p50_ms", percentile(rtt, 0.50),
+                                 "ms");
+            workload_metrics.add("serve.rtt_p99_ms", percentile(rtt, 0.99),
+                                 "ms");
+            workload_metrics.add("serve.send_late_p99_ms",
+                                 percentile(late, 0.99), "ms");
+            workload_metrics.add("serve.service_map_p50_ms",
+                                 percentile(service_ms, 0.50), "ms");
+            workload_metrics.add("serve.overhead_p50_ms",
+                                 percentile(overhead, 0.50), "ms");
+            workload_metrics.add(
+                "serve.busy_replies",
+                static_cast<double>(serve->reference.busyReplies()), "count");
+        }
 
         const std::string trace_path =
             args.traceOut.empty() ? dir + "/trace.json" : args.traceOut;
@@ -847,6 +955,9 @@ run(const Args &args)
                      tracer.size(), trace_path.c_str());
     }
 
+    if (!workload_metrics.empty())
+        std::printf("{\"workload_metrics\": %s}\n",
+                    workload_metrics.json().c_str());
     std::printf("{\"correct\": true, \"attempted\": %llu, \"failed\": %llu, "
                 "\"metrics\": %s}\n",
                 static_cast<unsigned long long>(attempted),

@@ -30,20 +30,18 @@ allWorkloads()
         // spacing, 1 kbp PacBio-5% reads mapped offline: any cost
         // that grows with chromosome size shows here.
         {"chr40m-long", 1, 40'000'000, 0.0, 0.0, 440.0, false,
-         1000, 200, 0.05,
-         1, 25.0, 200, 10.0, 1.25, 16, 40, 150.0},
+         1000, 512, 0.05, std::nullopt},
         // Four skewed chromosomes with shared dispersed repeat
         // families and tandem arrays: region count, BitAlign and
         // shard-skew work stealing do the work.
         {"repeats-long", 4, 4'000'000, 0.05, 0.01, 440.0, false,
-         1000, 400, 0.05,
-         1, 30.0, 120, 10.0, 1.25, 16, 40, 400.0},
+         1000, 400, 0.05, std::nullopt},
         // A dense-variant pangenome imported from GFA, 150 bp
         // Illumina-1% reads served by the daemon in 16-read requests:
         // seeding and per-call costs dominate.
         {"pangenome-short-serve", 4, 4'000'000, 0.0, 0.0, 100.0, true,
          150, 4000, 0.01,
-         16, 2000.0, 800, 500.0, 1.25, 16, 120, 100.0},
+         ServeSpec{16, 2000.0, 800, 500.0, 1.25, 16, 120, 100.0}},
     };
     return specs;
 }

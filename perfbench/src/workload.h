@@ -9,6 +9,7 @@
 #define SEGRAM_PERFBENCH_WORKLOAD_H
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -20,9 +21,23 @@ namespace perfbench
 {
 
 /**
- * One workload. Every field is a constant recorded here, never derived
- * at run time — in particular the serve ladder and its p99 limit.
+ * The daemon's open loop on the serve workload. Every field is a
+ * constant recorded with the workload, never derived at run time — in
+ * particular the ladder of offered rates and the p99 limit.
  */
+struct ServeSpec
+{
+    uint32_t requestReads;   ///< reads per MAP request
+    double refRate;          ///< reference offered rate, reads/s
+    uint32_t refRequests;    ///< requests sent at the reference rate
+    double ladderBase;       ///< lowest ladder rate, reads/s
+    double ladderStep;       ///< ratio between adjacent rungs
+    int ladderRungs;
+    uint32_t probeRequests;  ///< requests sent per capacity probe
+    double p99LimitMs;       ///< latency limit of the capacity search
+};
+
+/** One workload. Every field is a constant recorded here. */
 struct WorkloadSpec
 {
     const char *name;
@@ -37,15 +52,9 @@ struct WorkloadSpec
     uint32_t readLen;
     uint32_t numReads;
     double errorRate;        ///< PacBio profile for long, Illumina short
-    // --- serve open loop ---
-    uint32_t requestReads;   ///< reads per MAP request
-    double refRate;          ///< reference offered rate, reads/s
-    uint32_t refRequests;    ///< requests sent at the reference rate
-    double ladderBase;       ///< lowest ladder rate, reads/s
-    double ladderStep;       ///< ratio between adjacent rungs
-    int ladderRungs;
-    uint32_t probeRequests;  ///< requests sent per capacity probe
-    double p99LimitMs;       ///< latency limit of the capacity search
+    /** Set when the reads are served by the daemon; the others are
+     *  mapped offline only. */
+    std::optional<ServeSpec> serve;
 };
 
 /** @return The spec named @p name, or nullptr. */
@@ -68,8 +77,8 @@ struct WorkloadInputs
 
 /**
  * Writes the inputs of @p spec for @p seed into @p dir (created). The
- * same seed always yields byte-identical files; nothing depends on
- * the thread count.
+ * same seed always yields byte-identical files. Generation runs on the
+ * calling thread and takes no thread count.
  */
 WorkloadInputs generateInputs(const WorkloadSpec &spec, uint64_t seed,
                               const std::string &dir);
