@@ -94,6 +94,7 @@ SegramMapper::filterRegions(MapWorkspace &workspace,
             graph_.totalSeqLen() - 1);
         region.minimizerPos = first.readPos;
         region.seed = {graph_.nodeAtLinear(first.refPos), 0};
+        region.support = static_cast<uint32_t>(chain.score);
         filtered.push_back(region);
     }
     return filtered;

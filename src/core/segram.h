@@ -46,7 +46,8 @@ struct SegramConfig
      */
     int hopLimit = graph::kDefaultHopLimit;
     /**
-     * Cap on candidate regions aligned per read; 0 aligns all (the
+     * Cap on candidate regions aligned per read strand, taken in
+     * candidate order (best-supported loci first); 0 aligns all (the
      * hardware behaviour — MinSeed performs no filtering).
      */
     uint32_t maxRegions = 0;

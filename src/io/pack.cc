@@ -161,6 +161,9 @@ writePack(const std::string &path, std::span<const PackWriteEntry> entries,
                          "' has a null graph or index");
         SEGRAM_CHECK(!entry.name.empty(),
                      "pack chromosome names must be non-empty");
+        SEGRAM_CHECK(entry.graph->isTopologicallySorted(),
+                     "pack entry for '" + std::string(entry.name) +
+                         "' is not topologically sorted");
     }
 
     // Assemble the two global payloads.
@@ -536,17 +539,15 @@ PackFile::open(const std::string &path, const PackLoadOptions &options)
                               entry.offset <= file.size() &&
                               entry.bytes <= file.size() - entry.offset,
                           path, "section payload out of file bounds");
-        if (options.verifyChecksums) {
-            SEGRAM_PACK_CHECK(
-                packChecksum(file.subspan(entry.offset, entry.bytes)) ==
-                    entry.checksum,
-                path, "section payload checksum mismatch");
-            // A cold load keeps validation RSS near one section: drop
-            // each payload's pages as soon as they are checksummed
-            // (table validation below refaults what it needs).
-            if (options.coldLoad)
-                pack.mapping_->advise(entry.offset, entry.bytes, false);
-        }
+        SEGRAM_PACK_CHECK(
+            packChecksum(file.subspan(entry.offset, entry.bytes)) ==
+                entry.checksum,
+            path, "section payload checksum mismatch");
+        // A cold load keeps validation RSS near one section: drop each
+        // payload's pages as soon as they are checksummed (table
+        // validation below refaults what it needs).
+        if (options.coldLoad)
+            pack.mapping_->advise(entry.offset, entry.bytes, false);
     }
 
     // --- section inventory ---
@@ -664,63 +665,70 @@ PackFile::open(const std::string &path, const PackLoadOptions &options)
         const auto locations =
             sectionSpan<index::SeedLocation>(file, locs_s);
 
-        if (options.validateTables) {
-            // Cross-table invariants: every index a query can follow
-            // must land inside its target table *before* any span is
-            // handed out, so a hostile or truncated-and-padded pack can
-            // never turn into an out-of-bounds read later.
-            uint64_t expected_start = 0;
-            for (const auto &node : nodes) {
-                SEGRAM_PACK_CHECK(
-                    node.seqLen >= 1 &&
-                        node.seqStart <= meta.numBases &&
-                        node.seqLen <= meta.numBases - node.seqStart,
-                    path, "node sequence range outside character table");
-                SEGRAM_PACK_CHECK(
-                    node.edgeStart <= meta.numEdges &&
-                        node.edgeCount <= meta.numEdges - node.edgeStart,
-                    path, "node edge range outside edge table");
-                // GraphBuilder lays nodes out contiguously from 0 with
-                // linearOffset == seqStart; charAtLinear/nodeAtLinear
-                // assume exactly that, so enforce it, not just
-                // monotonicity.
-                SEGRAM_PACK_CHECK(node.seqStart == expected_start &&
-                                      node.linearOffset == node.seqStart,
-                                  path,
-                                  "node table is not contiguous from "
-                                  "offset 0");
-                expected_start = node.seqStart + node.seqLen;
-            }
-            SEGRAM_PACK_CHECK(expected_start == meta.numBases, path,
-                              "node table does not cover the character "
-                              "table");
-            for (const graph::NodeId target : edges)
-                SEGRAM_PACK_CHECK(target < meta.numNodes, path,
-                                  "edge target outside node table");
-            uint32_t prev_bucket = 0;
-            for (const uint32_t offset : buckets) {
-                SEGRAM_PACK_CHECK(offset >= prev_bucket &&
-                                      offset <= meta.numMinimizers,
-                                  path, "bucket offsets not a CSR");
-                prev_bucket = offset;
-            }
-            SEGRAM_PACK_CHECK(buckets.back() == meta.numMinimizers, path,
-                              "bucket offsets do not cover level 2");
-            for (const auto &entry : minimizers) {
-                SEGRAM_PACK_CHECK(
-                    entry.locCount >= 1 &&
-                        entry.locStart <= meta.numLocations &&
-                        entry.locCount <=
-                            meta.numLocations - entry.locStart,
-                    path, "minimizer location range outside level 3");
-            }
-            for (const auto &loc : locations) {
-                SEGRAM_PACK_CHECK(loc.node < meta.numNodes &&
-                                      loc.offset <
-                                          nodes[loc.node].seqLen,
-                                  path,
-                                  "seed location outside its node");
-            }
+        // Cross-table invariants: every index a query can follow
+        // must land inside its target table *before* any span is
+        // handed out, so a hostile or truncated-and-padded pack can
+        // never turn into an out-of-bounds read later.
+        uint64_t expected_start = 0;
+        for (uint64_t id = 0; id < nodes.size(); ++id) {
+            const graph::NodeRecord &node = nodes[id];
+            SEGRAM_PACK_CHECK(
+                node.seqLen >= 1 &&
+                    node.seqStart <= meta.numBases &&
+                    node.seqLen <= meta.numBases - node.seqStart,
+                path, "node sequence range outside character table");
+            SEGRAM_PACK_CHECK(
+                node.edgeStart <= meta.numEdges &&
+                    node.edgeCount <= meta.numEdges - node.edgeStart,
+                path, "node edge range outside edge table");
+            // Topological order (every edge leads to a later node) is
+            // what linearization walks by; the mapper never re-derives
+            // it from a loaded graph.
+            for (const graph::NodeId target :
+                 edges.subspan(node.edgeStart, node.edgeCount))
+                SEGRAM_PACK_CHECK(target > id, path,
+                                  "edge to an earlier node: graph not "
+                                  "topologically sorted");
+            // GraphBuilder lays nodes out contiguously from 0 with
+            // linearOffset == seqStart; charAtLinear/nodeAtLinear
+            // assume exactly that, so enforce it, not just
+            // monotonicity.
+            SEGRAM_PACK_CHECK(node.seqStart == expected_start &&
+                                  node.linearOffset == node.seqStart,
+                              path,
+                              "node table is not contiguous from "
+                              "offset 0");
+            expected_start = node.seqStart + node.seqLen;
+        }
+        SEGRAM_PACK_CHECK(expected_start == meta.numBases, path,
+                          "node table does not cover the character "
+                          "table");
+        for (const graph::NodeId target : edges)
+            SEGRAM_PACK_CHECK(target < meta.numNodes, path,
+                              "edge target outside node table");
+        uint32_t prev_bucket = 0;
+        for (const uint32_t offset : buckets) {
+            SEGRAM_PACK_CHECK(offset >= prev_bucket &&
+                                  offset <= meta.numMinimizers,
+                              path, "bucket offsets not a CSR");
+            prev_bucket = offset;
+        }
+        SEGRAM_PACK_CHECK(buckets.back() == meta.numMinimizers, path,
+                          "bucket offsets do not cover level 2");
+        for (const auto &entry : minimizers) {
+            SEGRAM_PACK_CHECK(
+                entry.locCount >= 1 &&
+                    entry.locStart <= meta.numLocations &&
+                    entry.locCount <=
+                        meta.numLocations - entry.locStart,
+                path, "minimizer location range outside level 3");
+        }
+        for (const auto &loc : locations) {
+            SEGRAM_PACK_CHECK(loc.node < meta.numNodes &&
+                                  loc.offset <
+                                      nodes[loc.node].seqLen,
+                              path,
+                              "seed location outside its node");
         }
 
         Chromosome chromosome;

@@ -178,24 +178,22 @@ struct PackWriteEntry
  * @param version Pack version to emit: kPackVersion (default) or 1 for
  *        the legacy monolithic layout without a ShardTable (kept so
  *        backward-compatibility of the loader stays testable).
- * @throws InputError on I/O failure, null/empty entries, or an
- *         unsupported version.
+ * @throws InputError on I/O failure, null/empty entries, a graph that
+ *         is not topologically sorted, or an unsupported version.
  */
 void writePack(const std::string &path,
                std::span<const PackWriteEntry> entries,
                uint32_t version = kPackVersion);
 
-/** Pack-loading knobs (verification defaults on; disable in benches). */
+/**
+ * Pack-loading knobs. Validation is not one of them: every load verifies
+ * each section's FNV-1a checksum and the cross-table invariants (node
+ * spans inside the character and edge tables, edge targets and seed
+ * locations inside the node table, topological order, CSR monotonicity)
+ * before handing out any span.
+ */
 struct PackLoadOptions
 {
-    /** Verify the FNV-1a checksum of every section payload. */
-    bool verifyChecksums = true;
-    /**
-     * Validate cross-table invariants (node spans inside the character
-     * and edge tables, edge targets and seed locations inside the node
-     * table, CSR monotonicity) before handing out any span.
-     */
-    bool validateTables = true;
     /**
      * Memory-budget loading: skip the whole-file MADV_WILLNEED
      * prefetch and drop each shard's pages (MADV_DONTNEED) as soon as

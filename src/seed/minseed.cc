@@ -8,6 +8,67 @@
 namespace segram::seed
 {
 
+namespace
+{
+
+/**
+ * Ranks coordinate-sorted @p regions by locus support in place: a locus
+ * is a maximal run of overlapping regions, its support the run's region
+ * count. Loci go highest support first; equal loci, and the regions
+ * inside a locus, keep coordinate order. Overlap, not seed diagonal,
+ * defines a locus: an ALT allele shifts a locus's diagonal in the
+ * linearized graph but not its extent.
+ *
+ * @return The number of loci.
+ */
+size_t
+rankByLocus(std::vector<CandidateRegion> &regions, SeedScratch &scratch)
+{
+    using Locus = SeedScratch::Locus;
+    std::vector<Locus> &loci = scratch.loci;
+    loci.clear();
+    uint64_t reach = 0; // last coordinate of the open locus
+    for (size_t i = 0; i < regions.size(); ++i) {
+        if (loci.empty() || regions[i].start > reach) {
+            loci.push_back({i, 0});
+            reach = regions[i].end;
+        }
+        ++loci.back().count;
+        reach = std::max(reach, regions[i].end);
+    }
+
+    bool ranked = true;
+    for (size_t l = 0; l < loci.size(); ++l) {
+        const Locus &locus = loci[l];
+        for (size_t i = locus.first; i < locus.first + locus.count; ++i)
+            regions[i].support = static_cast<uint32_t>(locus.count);
+        ranked = ranked && (l == 0 || loci[l - 1].count >= locus.count);
+    }
+    if (ranked)
+        return loci.size();
+
+    // Ties break on the first index, so the order is total and needs no
+    // (allocating) stable sort.
+    std::sort(loci.begin(), loci.end(),
+              [](const Locus &lhs, const Locus &rhs) {
+                  if (lhs.count != rhs.count)
+                      return lhs.count > rhs.count;
+                  return lhs.first < rhs.first;
+              });
+    std::vector<CandidateRegion> &out = scratch.ranked;
+    out.clear();
+    for (const Locus &locus : loci) {
+        const auto first =
+            regions.begin() + static_cast<std::ptrdiff_t>(locus.first);
+        out.insert(out.end(), first,
+                   first + static_cast<std::ptrdiff_t>(locus.count));
+    }
+    regions.swap(out);
+    return loci.size();
+}
+
+} // namespace
+
 MinSeed::MinSeed(const graph::GenomeGraph &graph,
                  const index::MinimizerIndex &idx,
                  const MinSeedConfig &config)
@@ -120,6 +181,7 @@ MinSeed::seedRead(std::string_view read, std::vector<CandidateRegion> &regions,
             regions.end());
     }
     local.regionsEmitted = regions.size();
+    local.lociEmitted = rankByLocus(regions, scratch);
     if (stats != nullptr)
         *stats += local;
 }

@@ -20,6 +20,11 @@
  * (Section 11.4); an optional exact-duplicate region merge is provided
  * for the software pipeline and is reported separately so seed counts
  * stay comparable with the paper's.
+ *
+ * The regions are handed out ranked, not filtered: overlapping regions
+ * form one *locus*, and loci with more regions (more seed evidence) come
+ * first, so a consumer that stops early (early exit, a region cap)
+ * reaches the true locus before spurious single-seed hits.
  */
 
 #ifndef SEGRAM_SRC_SEED_MINSEED_H
@@ -75,6 +80,11 @@ struct CandidateRegion
     uint64_t end = 0;   ///< last concatenated coordinate (y of Fig. 9)
     uint32_t minimizerPos = 0; ///< minimizer start within the read (a)
     index::SeedLocation seed;  ///< the seed hit that produced the region
+    /**
+     * Evidence for the region's locus: the region count of its locus
+     * (MinSeed), or the seed count of its chain (chain filter).
+     */
+    uint32_t support = 0;
 
     bool operator==(const CandidateRegion &) const = default;
 };
@@ -89,6 +99,7 @@ struct MinSeedStats
     uint64_t seedsFetched = 0;      ///< level-3 locations fetched
     uint64_t seedsSkippedByCap = 0; ///< locations dropped by subsampling
     uint64_t regionsEmitted = 0;    ///< after optional duplicate merge
+    uint64_t lociEmitted = 0;       ///< maximal runs of overlapping regions
 
     MinSeedStats &
     operator+=(const MinSeedStats &other)
@@ -100,6 +111,7 @@ struct MinSeedStats
         seedsFetched += other.seedsFetched;
         seedsSkippedByCap += other.seedsSkippedByCap;
         regionsEmitted += other.regionsEmitted;
+        lociEmitted += other.lociEmitted;
         return *this;
     }
 };
@@ -107,8 +119,17 @@ struct MinSeedStats
 /** Reusable working storage for MinSeed::seedRead (buffer reuse). */
 struct SeedScratch
 {
-    std::vector<Minimizer> minimizers; ///< per-read minimizer list
-    MinimizerScratch sketch;           ///< wedge storage of the sketcher
+    /** One locus: a run of coordinate-sorted regions. */
+    struct Locus
+    {
+        size_t first = 0; ///< index of its first region
+        size_t count = 0; ///< its region count (the support)
+    };
+
+    std::vector<Minimizer> minimizers;   ///< per-read minimizer list
+    MinimizerScratch sketch;             ///< wedge storage of the sketcher
+    std::vector<Locus> loci;             ///< loci of the current read
+    std::vector<CandidateRegion> ranked; ///< regions in locus order
 };
 
 /** The MinSeed stage bound to one graph + index pair. */
@@ -128,7 +149,10 @@ class MinSeed
      *
      * @param read        The query read (ACGT).
      * @param[out] stats  Optional statistics accumulator.
-     * @return Candidate regions, ordered by (start, end).
+     * @return Candidate regions grouped into loci (maximal runs of
+     *         overlapping regions), loci in descending support (region
+     *         count); equal loci, and the regions inside a locus, in
+     *         (start, end) order.
      */
     std::vector<CandidateRegion> seedRead(std::string_view read,
                                           MinSeedStats *stats = nullptr) const;

@@ -7,9 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "src/core/segram.h"
 #include "src/graph/graph_builder.h"
 #include "src/sim/dataset.h"
+#include "src/sim/genome_sim.h"
 #include "src/util/check.h"
 #include "src/util/dna.h"
 #include "src/util/rng.h"
@@ -89,6 +92,50 @@ TEST(SegramMapper, MaxRegionsCapsWork)
     const std::string read = dataset.donor.seq().substr(1'000, 300);
     const auto result = mapper.mapRead(read);
     EXPECT_LE(result.regionsTried, 1u);
+}
+
+TEST(SegramMapper, MaxRegionsReachesTheBestSupportedLocus)
+{
+    // A 24 bp piece of the read planted far left of its true locus
+    // gives a one-seed spurious locus that comes first in coordinate
+    // order; ranked by support, the true locus is still the one region
+    // a cap of 1 aligns.
+    constexpr uint64_t kTrueStart = 20'000;
+    constexpr uint64_t kDecoy = 5'000;
+    Rng rng(81);
+    std::string reference = sim::randomSequence(40'000, rng);
+    reference.replace(kDecoy, 24, reference.substr(kTrueStart + 150, 24));
+    const auto graph = graph::buildGraph(reference, {});
+    index::IndexConfig index_config;
+    index_config.sketch = {13, 8};
+    index_config.bucketBits = 13;
+    const auto index = index::MinimizerIndex::build(graph, index_config);
+
+    SegramConfig config;
+    config.minseed.errorRate = 0.05;
+    config.minseed.frequencyThreshold = 100; // keep the decoy's seed
+    config.maxRegions = 1;
+    const std::string read = reference.substr(kTrueStart, 300);
+
+    // The premise: the leftmost region is the decoy, and it is alone.
+    const seed::MinSeed minseed(graph, index, config.minseed);
+    const auto regions = minseed.seedRead(read);
+    ASSERT_GT(regions.size(), 1u);
+    const auto leftmost = std::min_element(
+        regions.begin(), regions.end(),
+        [](const seed::CandidateRegion &lhs,
+           const seed::CandidateRegion &rhs) {
+            return lhs.start < rhs.start;
+        });
+    ASSERT_LT(leftmost->end, kTrueStart);
+    ASSERT_EQ(leftmost->support, 1u);
+
+    const SegramMapper mapper(graph, index, config);
+    const auto result = mapper.mapRead(read);
+    ASSERT_TRUE(result.mapped);
+    EXPECT_EQ(result.regionsTried, 1u);
+    EXPECT_EQ(result.editDistance, 0);
+    EXPECT_EQ(result.linearStart, kTrueStart);
 }
 
 TEST(SegramMapper, EarlyExitStopsEarly)

@@ -189,6 +189,7 @@ expectSameStats(const PipelineStats &lhs, const PipelineStats &rhs)
     EXPECT_EQ(lhs.seeding.seedsAvailable, rhs.seeding.seedsAvailable);
     EXPECT_EQ(lhs.seeding.seedsFetched, rhs.seeding.seedsFetched);
     EXPECT_EQ(lhs.seeding.regionsEmitted, rhs.seeding.regionsEmitted);
+    EXPECT_EQ(lhs.seeding.lociEmitted, rhs.seeding.lociEmitted);
 }
 
 // ---------------------------------------------------------- MapWorkspace

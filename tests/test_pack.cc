@@ -22,6 +22,7 @@
 #include "src/core/reference.h"
 #include "src/core/segram.h"
 #include "src/eval/accuracy.h"
+#include "src/graph/graph_builder.h"
 #include "src/io/pack.h"
 #include "src/io/paf.h"
 #include "src/sim/dataset.h"
@@ -524,6 +525,42 @@ TEST_F(PackRejectionTest, RejectsOutOfBoundsSeedLocation)
                 sizeof(evil_node)); // SeedLocation.node of entry 0
     resealSection(loc_section);
     expectRejected("seed location");
+}
+
+TEST_F(PackRejectionTest, RejectsBackwardEdge)
+{
+    // Point the first edge back at node 0: in bounds, re-sealed, but no
+    // longer a topological order, which linearization walks by.
+    auto entries = directory();
+    size_t edge_section = entries.size();
+    for (size_t i = 0; i < entries.size(); ++i) {
+        if (entries[i].kind ==
+            static_cast<uint32_t>(io::PackSectionKind::EdgeTable))
+            edge_section = i;
+    }
+    ASSERT_LT(edge_section, entries.size());
+    ASSERT_GT(entries[edge_section].bytes, 0u);
+    const graph::NodeId backward = 0;
+    std::memcpy(bytes_.data() + entries[edge_section].offset, &backward,
+                sizeof(backward)); // target of edge 0
+    resealSection(edge_section);
+    expectRejected("topologically sorted");
+}
+
+TEST_F(PackTest, WriteRejectsUnsortedGraph)
+{
+    graph::GraphBuilder builder;
+    const auto a = builder.addNode("ACGTACGTACGTACGTACGT");
+    const auto b = builder.addNode("TTTTACGTACGTACGTACGT");
+    builder.addEdge(b, a); // backwards edge: not topologically sorted
+    const auto graph = std::move(builder).build();
+    index::IndexConfig index_config;
+    index_config.bucketBits = 8;
+    const auto index = index::MinimizerIndex::build(graph, index_config);
+    const io::PackWriteEntry entry{"chr1", &graph, &index};
+    EXPECT_THROW(io::writePack(path("unsorted.segram"), {&entry, 1}),
+                 InputError);
+    EXPECT_FALSE(std::filesystem::exists(path("unsorted.segram")));
 }
 
 } // namespace

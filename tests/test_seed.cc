@@ -7,8 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "src/graph/graph_builder.h"
 #include "src/index/minimizer_index.h"
@@ -236,6 +239,190 @@ TEST_F(MinSeedTest, BufferReuseMatchesReturningOverload)
         EXPECT_EQ(fresh_stats.seedsFetched, reused_stats.seedsFetched);
         EXPECT_EQ(fresh_stats.regionsEmitted,
                   reused_stats.regionsEmitted);
+    }
+}
+
+/** Maximal runs of overlapping regions, in coordinate order. */
+std::vector<std::vector<CandidateRegion>>
+lociOf(std::vector<CandidateRegion> regions)
+{
+    std::sort(regions.begin(), regions.end(),
+              [](const CandidateRegion &lhs, const CandidateRegion &rhs) {
+                  return std::pair(lhs.start, lhs.end) <
+                         std::pair(rhs.start, rhs.end);
+              });
+    std::vector<std::vector<CandidateRegion>> loci;
+    uint64_t reach = 0;
+    for (const CandidateRegion &region : regions) {
+        if (loci.empty() || region.start > reach) {
+            loci.emplace_back();
+            reach = region.end;
+        }
+        loci.back().push_back(region);
+        reach = std::max(reach, region.end);
+    }
+    return loci;
+}
+
+/**
+ * The locus ranking spelled out naively: loci stable-sorted by size
+ * (descending), each region's support its locus's size.
+ */
+std::vector<CandidateRegion>
+rankedNaively(const std::vector<CandidateRegion> &regions)
+{
+    auto loci = lociOf(regions);
+    std::stable_sort(loci.begin(), loci.end(),
+                     [](const auto &lhs, const auto &rhs) {
+                         return lhs.size() > rhs.size();
+                     });
+    std::vector<CandidateRegion> out;
+    for (const auto &locus : loci) {
+        for (CandidateRegion region : locus) {
+            region.support = static_cast<uint32_t>(locus.size());
+            out.push_back(region);
+        }
+    }
+    return out;
+}
+
+/**
+ * A reference with planted copies, so reads seed several loci: the
+ * stretch [12'000, 12'400) has a 120 bp copy of its start at 3'000 (left
+ * of it, weaker) and a 60 bp copy of its end at 18'000 (right of it,
+ * weaker still); [6'000, 6'400) has a full copy at 15'000, on the same
+ * 300 bp node grid (two loci of equal support).
+ */
+class LocusRankTest : public ::testing::Test
+{
+  protected:
+    static constexpr uint64_t kTrueStart = 12'000;
+    static constexpr uint64_t kTwinStart = 6'000;
+    static constexpr uint64_t kTwinCopy = 15'000;
+    static constexpr uint64_t kReadLen = 400;
+
+    void
+    SetUp() override
+    {
+        Rng rng(41);
+        reference_ = sim::randomSequence(20'000, rng);
+        reference_.replace(3'000, 120, reference_.substr(kTrueStart, 120));
+        reference_.replace(18'000, 60,
+                           reference_.substr(kTrueStart + 340, 60));
+        // The twin copy carries 100 bp of flank on each side, so every
+        // minimizer of a read from it sits in the same context twice.
+        reference_.replace(kTwinCopy - 100, kReadLen + 200,
+                           reference_.substr(kTwinStart - 100,
+                                             kReadLen + 200));
+        graph::BuildOptions options;
+        options.maxNodeLen = 300;
+        graph_ = graph::buildGraph(reference_, {}, options);
+        index::IndexConfig config;
+        config.sketch = {11, 6};
+        config.bucketBits = 12;
+        index_ = index::MinimizerIndex::build(graph_, config);
+        // Keep the planted (twice-occurring) minimizers.
+        config_.frequencyThreshold = 1'000;
+    }
+
+    std::string reference_;
+    graph::GenomeGraph graph_;
+    index::MinimizerIndex index_;
+    MinSeedConfig config_;
+};
+
+TEST_F(LocusRankTest, SupportIsTheLocusRegionCount)
+{
+    const MinSeed minseed(graph_, index_, config_);
+    const std::string read = reference_.substr(kTrueStart, kReadLen);
+    MinSeedStats stats;
+    const auto regions = minseed.seedRead(read, &stats);
+    const auto expected = rankedNaively(regions);
+    ASSERT_EQ(regions.size(), expected.size());
+    std::set<uint32_t> supports;
+    for (size_t i = 0; i < regions.size(); ++i) {
+        EXPECT_EQ(regions[i].support, expected[i].support)
+            << "region " << i;
+        supports.insert(regions[i].support);
+    }
+    // The true locus and both planted copies, each with its own support.
+    EXPECT_GE(supports.size(), 3u);
+    EXPECT_EQ(stats.lociEmitted, lociOf(regions).size());
+    EXPECT_EQ(stats.regionsEmitted, regions.size());
+}
+
+TEST_F(LocusRankTest, LociComeInDescendingSupport)
+{
+    const MinSeed minseed(graph_, index_, config_);
+    const std::string read = reference_.substr(kTrueStart, kReadLen);
+    const auto regions = minseed.seedRead(read);
+    ASSERT_FALSE(regions.empty());
+    for (size_t i = 1; i < regions.size(); ++i)
+        EXPECT_GE(regions[i - 1].support, regions[i].support)
+            << "region " << i;
+    // The weaker copy at 3'000 lies left of the true locus, yet the true
+    // locus comes first.
+    const auto leftmost = std::min_element(
+        regions.begin(), regions.end(),
+        [](const CandidateRegion &lhs, const CandidateRegion &rhs) {
+            return lhs.start < rhs.start;
+        });
+    EXPECT_LT(leftmost->end, kTrueStart);
+    EXPECT_LE(regions.front().start, kTrueStart);
+    EXPECT_GE(regions.front().end, kTrueStart + kReadLen - 1);
+    EXPECT_GT(regions.front().support, leftmost->support);
+}
+
+TEST_F(LocusRankTest, CoordinateOrderInsideAndAcrossEqualLoci)
+{
+    const MinSeed minseed(graph_, index_, config_);
+    for (const uint64_t start : {kTrueStart, kTwinStart}) {
+        const std::string read = reference_.substr(start, kReadLen);
+        const auto regions = minseed.seedRead(read);
+        EXPECT_EQ(regions, rankedNaively(regions)) << "read at " << start;
+        // Loci of equal support never overlap, so every run of equal
+        // support is in coordinate order.
+        for (size_t i = 1; i < regions.size(); ++i) {
+            if (regions[i - 1].support != regions[i].support)
+                continue;
+            EXPECT_LT(std::pair(regions[i - 1].start, regions[i - 1].end),
+                      std::pair(regions[i].start, regions[i].end))
+                << "read at " << start << ", region " << i;
+        }
+    }
+    // The twin read's two loci tie: the original (left) comes first.
+    const auto twin =
+        minseed.seedRead(reference_.substr(kTwinStart, kReadLen));
+    ASSERT_FALSE(twin.empty());
+    const uint32_t top = twin.front().support;
+    size_t top_count = 0;
+    for (const CandidateRegion &region : twin)
+        top_count += region.support == top ? 1 : 0;
+    ASSERT_EQ(top_count, 2 * size_t{top});
+    for (size_t i = 0; i < top_count; ++i)
+        EXPECT_EQ(twin[i].end < kTwinCopy, i < top) << "region " << i;
+}
+
+TEST_F(LocusRankTest, ReusedScratchMatchesFreshScratch)
+{
+    // Reads from every part of the reference, planted copies included:
+    // a warm scratch must rank exactly as a fresh one, stats included.
+    const MinSeed minseed(graph_, index_, config_);
+    Rng rng(43);
+    SeedScratch scratch;
+    std::vector<CandidateRegion> reused;
+    std::vector<uint64_t> starts = {kTrueStart, kTwinStart, kTwinCopy};
+    for (int trial = 0; trial < 20; ++trial)
+        starts.push_back(rng.nextBelow(reference_.size() - kReadLen));
+    for (const uint64_t start : starts) {
+        const std::string read = reference_.substr(start, kReadLen);
+        MinSeedStats fresh_stats;
+        MinSeedStats reused_stats;
+        const auto fresh = minseed.seedRead(read, &fresh_stats);
+        minseed.seedRead(read, reused, scratch, &reused_stats);
+        EXPECT_EQ(fresh, reused) << "read at " << start;
+        EXPECT_EQ(fresh_stats.lociEmitted, reused_stats.lociEmitted);
+        EXPECT_EQ(fresh_stats.regionsEmitted, reused_stats.regionsEmitted);
     }
 }
 

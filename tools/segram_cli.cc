@@ -619,6 +619,18 @@ cmdMap(const MapOptions &options)
             pct(timings.seedingSec), timings.linearizeSec,
             pct(timings.linearizeSec), timings.alignSec,
             pct(timings.alignSec));
+        // Candidate work per read, both strands: how many loci seeding
+        // found and how many regions the aligner actually ran on.
+        const auto perRead = [total_reads](uint64_t count) {
+            return total_reads > 0 ? static_cast<double>(count) /
+                                         static_cast<double>(total_reads)
+                                   : 0.0;
+        };
+        std::fprintf(stderr,
+                     "[segram] candidates per read: %.2f loci, %.2f "
+                     "regions aligned\n",
+                     perRead(stats.seeding.lociEmitted),
+                     perRead(stats.regionsAligned));
         // Lane-occupancy gauge of the batched alignment path: how full
         // the SIMD lanes ran, and how much work fell back per-window.
         const uint64_t windows =
