@@ -1,8 +1,9 @@
 /**
  * @file
- * End-to-end batched mapping throughput: the BatchMapper driver over
- * the full SeGraM pipeline at 1/2/4/8 worker threads, against the
- * plain single-thread mapRead loop as the reference.
+ * End-to-end batched mapping throughput: the ShardedBatchMapper driver
+ * (the one `segram map` and `segram serve` run) over a one-chromosome
+ * reference at 1/2/4/8 worker threads, against the plain single-thread
+ * mapRead loop as the reference.
  *
  * This is the software analogue of the paper's channel scaling claim
  * (one MinSeed+BitAlign pair per HBM2E channel, linear scaling across
@@ -39,8 +40,9 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "src/core/engine.h"
+#include "src/core/reference.h"
 #include "src/core/segram.h"
+#include "src/core/sharded_mapper.h"
 #include "src/sim/read_sim.h"
 #include "src/util/bitops_simd.h"
 
@@ -147,15 +149,21 @@ main(int argc, char **argv)
         }
     }
 
-    bench::printHeader("Batched mapping throughput (BatchMapper)");
+    bench::printHeader(
+        "Batched mapping throughput (ShardedBatchMapper)");
 
     const uint64_t genome_len = quick ? 150'000 : 400'000;
     const uint32_t num_reads = quick ? 60 : 200;
-    const auto dataset = sim::makeDataset(bench::datasetConfig(genome_len));
+    auto dataset = sim::makeDataset(bench::datasetConfig(genome_len));
+    const std::string chromosome = "chr1";
+    std::vector<core::PreprocessedChromosome> chromosomes;
+    chromosomes.push_back({chromosome, std::move(dataset.graph),
+                           std::move(dataset.index)});
+    const core::PreprocessedReference ref(std::move(chromosomes));
     core::SegramConfig config;
     config.minseed.errorRate = 0.05;
     config.earlyExitFraction = 1.5;
-    const core::SegramMapper mapper(dataset.graph, dataset.index, config);
+    const core::SegramMapper mapper(ref, 0, config);
 
     Rng rng(47);
     sim::ReadSimConfig read_config{1'000, num_reads,
@@ -172,7 +180,7 @@ main(int argc, char **argv)
     std::printf("%zu reads x %u bp, genome %llu bp\n\n", reads.size(),
                 read_config.readLen,
                 static_cast<unsigned long long>(
-                    dataset.graph.totalSeqLen()));
+                    ref.graph(0).totalSeqLen()));
 
     // Reference: the per-call-allocating mapRead loop (fresh workspace
     // every read) — what the pipeline did before the workspace
@@ -188,6 +196,19 @@ main(int argc, char **argv)
     });
     const double fresh_rps =
         static_cast<double>(reads.size()) / fresh_sec;
+    // The driver names the chromosome of every hit and reports a miss
+    // as an empty result; the bare mapper does neither, so its results
+    // are converted after timing.
+    const auto as_driver_results =
+        [&](std::vector<core::MultiMapResult> &results) {
+            for (auto &result : results) {
+                if (result.mapped)
+                    result.chromosome = chromosome;
+                else
+                    result = core::MultiMapResult{};
+            }
+        };
+    as_driver_results(reference);
 
     // Workspace loop: same computation out of one warm workspace. The
     // allocation window starts after a warm-up pass so buffer growth
@@ -207,6 +228,7 @@ main(int argc, char **argv)
         }
     });
     const unsigned long long allocs_after = g_allocations.load();
+    as_driver_results(ws_results);
     const double ws_rps = static_cast<double>(reads.size()) / ws_sec;
     const double allocs_per_read =
         static_cast<double>(allocs_after - allocs_before) /
@@ -237,9 +259,8 @@ main(int argc, char **argv)
         thread_counts = {1, 2};
     std::vector<double> batch_rps;
     for (const int threads : thread_counts) {
-        core::BatchConfig batch_config;
-        batch_config.threads = threads;
-        const core::BatchMapper batch_mapper(mapper, batch_config);
+        const core::ShardedBatchMapper batch_mapper(
+            ref, config, {.threads = threads});
         std::vector<core::MultiMapResult> results;
         const double sec = bench::timeSec([&] {
             results = batch_mapper.mapBatch(
@@ -289,14 +310,15 @@ main(int argc, char **argv)
                                   : 0.0);
 
     // Batched-path stage breakdown and lane occupancy: the same reads
-    // through the single-thread lane-batched scheduler (BatchMapper ->
-    // mapMany -> SegramMapper::mapReads). The alignment-stage ratio
-    // against the per-read loop above is the kernel-level speedup the
-    // cross-window batching claims, measured in-run on the same data.
+    // through the single-thread lane-batched scheduler
+    // (ShardedBatchMapper -> SegramMapper::mapMany). The
+    // alignment-stage ratio against the per-read loop above is the
+    // kernel-level speedup the cross-window batching claims, measured
+    // in-run on the same data.
     core::PipelineStats batched_stats;
     std::vector<core::MultiMapResult> batched_results;
     {
-        const core::BatchMapper batch_mapper(mapper, core::BatchConfig{});
+        const core::ShardedBatchMapper batch_mapper(ref, config);
         batched_results = batch_mapper.mapBatch(
             std::span<const std::string_view>(reads), &batched_stats);
     }
@@ -355,7 +377,7 @@ main(int argc, char **argv)
                      quick ? "true" : "false", reads.size(),
                      read_config.readLen,
                      static_cast<unsigned long long>(
-                         dataset.graph.totalSeqLen()),
+                         ref.graph(0).totalSeqLen()),
                      bitops::activeBackendName(), fresh_rps, ws_rps,
                      allocs_per_read, kPreWorkspaceAllocsPerRead,
                      static_cast<unsigned long long>(peak_rss),

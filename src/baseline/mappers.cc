@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "src/baseline/dp_s2g.h"
 #include "src/seed/minimizer.h"
 #include "src/util/check.h"
+#include "src/util/dna.h"
 
 namespace segram::baseline
 {
@@ -56,45 +58,88 @@ chainRegion(const Chain &chain, size_t read_len, double error_rate,
     return {start, end};
 }
 
-} // namespace
-
-core::MultiMapResult
-foldBaselineResult(const BaselineMapResult &result,
-                   const BaselineStats &delta,
-                   core::PipelineStats *stats)
+/**
+ * One read pass folded into the engine types: seedsExtended counts as
+ * regionsAligned, a successful map as an alignment found, and the
+ * baselines produce no CIGAR.
+ */
+core::MapResult
+foldPass(const BaselineMapResult &result, const BaselineStats &delta,
+         core::PipelineStats *stats)
 {
-    core::MultiMapResult folded;
+    core::MapResult folded;
     folded.mapped = result.mapped;
     folded.linearStart = result.linearStart;
     folded.editDistance = result.editDistance;
     folded.regionsTried = static_cast<uint32_t>(delta.seedsExtended);
     if (stats != nullptr) {
-        core::PipelineStats local;
-        local.readsTotal = 1;
-        local.readsMapped = result.mapped ? 1 : 0;
-        local.regionsAligned = delta.seedsExtended;
-        local.alignmentsFound = result.mapped ? 1 : 0;
-        local.seeding.seedsFetched = delta.rawSeeds;
-        *stats += local;
+        stats->regionsAligned += delta.seedsExtended;
+        stats->alignmentsFound += result.mapped ? 1 : 0;
+        stats->seeding.seedsFetched += delta.rawSeeds;
     }
     return folded;
 }
 
-core::MultiMapResult
-GraphAlignerLike::mapOne(std::string_view read,
-                         core::PipelineStats *stats) const
+/**
+ * The baselines' shared mapMany: each read is mapped as-is and as its
+ * reverse complement, and the lower edit distance wins; a tie keeps
+ * the forward strand, and a perfect forward hit skips the RC pass (it
+ * cannot be beaten). The RC winner carries `reverseComplemented` with
+ * forward-strand coordinates, like SegramConfig::tryReverseComplement:
+ * real GraphAligner/vg map both strands, which keeps the accuracy
+ * comparison honest on two-strand read sets.
+ */
+template <typename Mapper>
+void
+mapBothStrands(const Mapper &mapper,
+               std::span<const std::string_view> reads,
+               std::span<core::MapResult> results,
+               core::PipelineStats *stats, core::MapWorkspace &workspace)
 {
-    BaselineStats delta;
-    const BaselineMapResult result = map(read, &delta);
-    return foldBaselineResult(result, delta, stats);
+    SEGRAM_CHECK(reads.size() == results.size(),
+                 "mapMany spans must be equal-sized");
+    for (size_t i = 0; i < reads.size(); ++i) {
+        BaselineStats delta;
+        core::MapResult best =
+            foldPass(mapper.map(reads[i], &delta), delta, stats);
+        if (!best.mapped || best.editDistance > 0) {
+            reverseComplement(reads[i], workspace.rcBuffer);
+            BaselineStats rc_delta;
+            core::MapResult reverse = foldPass(
+                mapper.map(workspace.rcBuffer, &rc_delta), rc_delta,
+                stats);
+            reverse.reverseComplemented = true;
+            if (reverse.mapped &&
+                (!best.mapped || reverse.editDistance < best.editDistance))
+                best = std::move(reverse);
+        }
+        if (stats != nullptr) {
+            // Both strand passes were one logical read.
+            ++stats->readsTotal;
+            stats->readsMapped += best.mapped ? 1 : 0;
+        }
+        results[i] = std::move(best);
+    }
 }
 
-core::MultiMapResult
-VgLike::mapOne(std::string_view read, core::PipelineStats *stats) const
+} // namespace
+
+void
+GraphAlignerLike::mapMany(std::span<const std::string_view> reads,
+                          std::span<core::MapResult> results,
+                          core::PipelineStats *stats,
+                          core::MapWorkspace &workspace) const
 {
-    BaselineStats delta;
-    const BaselineMapResult result = map(read, &delta);
-    return foldBaselineResult(result, delta, stats);
+    mapBothStrands(*this, reads, results, stats, workspace);
+}
+
+void
+VgLike::mapMany(std::span<const std::string_view> reads,
+                std::span<core::MapResult> results,
+                core::PipelineStats *stats,
+                core::MapWorkspace &workspace) const
+{
+    mapBothStrands(*this, reads, results, stats, workspace);
 }
 
 GraphAlignerLike::GraphAlignerLike(const graph::GenomeGraph &graph,

@@ -13,13 +13,18 @@
  *
  * Both are honest software implementations measured on the host CPU;
  * the benches compare their wall-clock against the SeGraM hardware
- * model and report relative shape, not absolute paper numbers.
+ * model and report relative shape, not absolute paper numbers. Both
+ * are also MappingEngines — per-chromosome shards of the same
+ * core::ShardedBatchMapper that drives SeGraM — and map both strands
+ * like the real tools, so `segram map --engine` and `segram eval`
+ * compare all three on identical inputs.
  */
 
 #ifndef SEGRAM_SRC_BASELINE_MAPPERS_H
 #define SEGRAM_SRC_BASELINE_MAPPERS_H
 
 #include <cstdint>
+#include <span>
 #include <string_view>
 
 #include "src/align/bitalign.h"
@@ -76,16 +81,6 @@ struct BaselineConfig
     int vgChunkLen = 256;      ///< VgLike DP chunk length
 };
 
-/**
- * Folds one read's BaselineMapResult/BaselineStats into the engine
- * types so the baselines ride the same MappingEngine/BatchMapper rails
- * as SeGraM: seedsExtended maps to regionsAligned, a successful map to
- * alignmentsFound, and the baselines produce no CIGAR.
- */
-core::MultiMapResult foldBaselineResult(const BaselineMapResult &result,
-                                        const BaselineStats &delta,
-                                        core::PipelineStats *stats);
-
 /** GraphAligner-shaped mapper: chaining + bitvector alignment. */
 class GraphAlignerLike : public core::MappingEngine
 {
@@ -97,11 +92,11 @@ class GraphAlignerLike : public core::MappingEngine
     BaselineMapResult map(std::string_view read,
                           BaselineStats *stats = nullptr) const;
 
-    /** MappingEngine interface. */
-    using core::MappingEngine::mapOne; // keep the workspace overload
-    core::MultiMapResult
-    mapOne(std::string_view read,
-           core::PipelineStats *stats = nullptr) const override;
+    /** MappingEngine interface: map() on both strands, per read. */
+    void mapMany(std::span<const std::string_view> reads,
+                 std::span<core::MapResult> results,
+                 core::PipelineStats *stats,
+                 core::MapWorkspace &workspace) const override;
     std::string_view engineName() const override
     {
         return "graphaligner-like";
@@ -124,11 +119,11 @@ class VgLike : public core::MappingEngine
     BaselineMapResult map(std::string_view read,
                           BaselineStats *stats = nullptr) const;
 
-    /** MappingEngine interface. */
-    using core::MappingEngine::mapOne; // keep the workspace overload
-    core::MultiMapResult
-    mapOne(std::string_view read,
-           core::PipelineStats *stats = nullptr) const override;
+    /** MappingEngine interface: map() on both strands, per read. */
+    void mapMany(std::span<const std::string_view> reads,
+                 std::span<core::MapResult> results,
+                 core::PipelineStats *stats,
+                 core::MapWorkspace &workspace) const override;
     std::string_view engineName() const override { return "vg-like"; }
 
   private:

@@ -87,8 +87,7 @@ struct SegramConfig
 };
 
 // MapResult, MultiMapResult and PipelineStats live in
-// src/core/engine.h with the MappingEngine interface they travel
-// through; this header re-exports them via that include.
+// src/core/map_result.h, re-exported through src/core/engine.h.
 
 /** The end-to-end mapper. */
 class SegramMapper : public MappingEngine
@@ -113,10 +112,12 @@ class SegramMapper : public MappingEngine
                  const SegramConfig &config = {});
 
     /**
-     * Maps one read end to end. Safe to call concurrently: the graph
-     * and index are shared read-only and all per-read state is local.
-     * This convenience overload allocates a fresh workspace per call;
-     * hot loops should hold a MapWorkspace and use the overload below.
+     * Maps one read end to end, one candidate region at a time: the
+     * per-read reference the lane-batched mapMany is checked against.
+     * Safe to call concurrently: the graph and index are shared
+     * read-only and all per-read state is local. This convenience
+     * overload allocates a fresh workspace per call; hot loops should
+     * hold a MapWorkspace and use the overload below.
      *
      * @param read       Query read (ACGT, non-empty).
      * @param[out] stats Optional counter accumulator.
@@ -152,18 +153,8 @@ class SegramMapper : public MappingEngine
      * counter is bit-identical to a mapRead loop — only the window
      * computations are co-scheduled.
      */
-    void mapReads(std::span<const std::string_view> reads,
-                  std::span<MapResult> results, PipelineStats *stats,
-                  MapWorkspace &workspace) const;
-
-    /** MappingEngine interface (chromosome is left empty). */
-    MultiMapResult mapOne(std::string_view read,
-                          PipelineStats *stats = nullptr) const override;
-    MultiMapResult mapOne(std::string_view read, PipelineStats *stats,
-                          MapWorkspace &workspace) const override;
-    /** Routes through the lane-batched mapReads scheduler. */
     void mapMany(std::span<const std::string_view> reads,
-                 std::span<MultiMapResult> results, PipelineStats *stats,
+                 std::span<MapResult> results, PipelineStats *stats,
                  MapWorkspace &workspace) const override;
     std::string_view engineName() const override { return "segram"; }
 
@@ -187,80 +178,6 @@ class SegramMapper : public MappingEngine
     const index::MinimizerIndex &index_;
     SegramConfig config_;
     seed::MinSeed minseed_;
-};
-
-/** One chromosome entry of a multi-chromosome reference. */
-struct ChromosomeRef
-{
-    std::string name;
-    const graph::GenomeGraph *graph = nullptr;
-    const index::MinimizerIndex *index = nullptr;
-};
-
-/**
- * Maps reads against a set of per-chromosome graphs — the paper builds
- * "one graph for each chromosome" and distributes them across HBM
- * channels; this is the software equivalent, picking the chromosome
- * with the best alignment.
- */
-class MultiGraphMapper : public MappingEngine
-{
-  public:
-    /**
-     * @param chromosomes Per-chromosome graphs/indexes (pointees must
-     *                    outlive the mapper).
-     * @throws InputError when empty or any pointer is null.
-     */
-    MultiGraphMapper(std::vector<ChromosomeRef> chromosomes,
-                     const SegramConfig &config = {});
-
-    /**
-     * Binds every chromosome of a pre-processed reference (built fresh
-     * or mmap-loaded from a pack). @p reference must outlive the
-     * mapper.
-     */
-    explicit MultiGraphMapper(const PreprocessedReference &reference,
-                              const SegramConfig &config = {});
-
-    /** Maps one read against every chromosome; returns the best hit. */
-    MultiMapResult mapRead(std::string_view read,
-                           PipelineStats *stats = nullptr) const;
-
-    /** Workspace-borrowing variant (lent to each chromosome in turn). */
-    MultiMapResult mapRead(std::string_view read, PipelineStats *stats,
-                           MapWorkspace &workspace) const;
-
-    /** MappingEngine interface. */
-    MultiMapResult
-    mapOne(std::string_view read,
-           PipelineStats *stats = nullptr) const override
-    {
-        return mapRead(read, stats);
-    }
-    MultiMapResult
-    mapOne(std::string_view read, PipelineStats *stats,
-           MapWorkspace &workspace) const override
-    {
-        return mapRead(read, stats, workspace);
-    }
-    /**
-     * Group mapper: runs each chromosome's lane-batched mapReads over
-     * the whole group, merging per read with the same best-chromosome
-     * rule as mapRead. Bit-identical to a mapRead loop.
-     */
-    void mapMany(std::span<const std::string_view> reads,
-                 std::span<MultiMapResult> results, PipelineStats *stats,
-                 MapWorkspace &workspace) const override;
-    std::string_view engineName() const override
-    {
-        return "segram-multigraph";
-    }
-
-    size_t numChromosomes() const { return mappers_.size(); }
-
-  private:
-    std::vector<std::string> names_;
-    std::vector<SegramMapper> mappers_;
 };
 
 } // namespace segram::core

@@ -1,28 +1,56 @@
 #include "src/core/sharded_mapper.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "src/util/check.h"
 
 namespace segram::core
 {
 
+namespace
+{
+
+std::vector<std::unique_ptr<MappingEngine>>
+segramShards(const PreprocessedReference &reference,
+             const SegramConfig &config)
+{
+    std::vector<std::unique_ptr<MappingEngine>> shards;
+    shards.reserve(reference.numChromosomes());
+    for (size_t c = 0; c < reference.numChromosomes(); ++c)
+        shards.push_back(
+            std::make_unique<SegramMapper>(reference, c, config));
+    return shards;
+}
+
+} // namespace
+
 ShardedBatchMapper::ShardedBatchMapper(
     const PreprocessedReference &reference, const SegramConfig &config,
     const ShardedBatchConfig &batch)
-    : config_(batch),
+    : ShardedBatchMapper(reference, segramShards(reference, config),
+                         batch)
+{
+}
+
+ShardedBatchMapper::ShardedBatchMapper(
+    const PreprocessedReference &reference,
+    std::vector<std::unique_ptr<MappingEngine>> shards,
+    const ShardedBatchConfig &batch)
+    : shards_(std::move(shards)),
       pool_(batch.threads > 0 ? batch.threads
                               : util::ThreadPool::defaultThreads()),
       workspaces_(static_cast<size_t>(pool_.size()))
 {
-    SEGRAM_CHECK(batch.chunkSize >= 1, "chunkSize must be >= 1");
     SEGRAM_CHECK(reference.numChromosomes() >= 1,
                  "reference has no chromosomes");
+    SEGRAM_CHECK(shards_.size() == reference.numChromosomes(),
+                 "need one shard engine per chromosome");
     names_.reserve(reference.numChromosomes());
-    mappers_.reserve(reference.numChromosomes());
     for (size_t c = 0; c < reference.numChromosomes(); ++c) {
+        SEGRAM_CHECK(shards_[c] != nullptr,
+                     "null engine for chromosome " + reference.name(c));
         names_.push_back(reference.name(c));
-        mappers_.emplace_back(reference, c, config);
     }
     if (batch.memBudgetBytes > 0) {
         residency_ = std::make_unique<ShardResidency>(
@@ -38,9 +66,8 @@ ShardedBatchMapper::mapBatch(std::span<const std::string_view> reads,
     if (reads.empty())
         return results;
 
-    const size_t num_shards = mappers_.size();
-    const size_t num_chunks =
-        (reads.size() + config_.chunkSize - 1) / config_.chunkSize;
+    const size_t num_shards = shards_.size();
+    const size_t num_chunks = (reads.size() + kChunkSize - 1) / kChunkSize;
 
     // Per-(shard, read) partial results; filled by the grid, merged
     // below. Memory is shards x batch MapResults — the reason the CLI
@@ -60,9 +87,8 @@ ShardedBatchMapper::mapBatch(std::span<const std::string_view> reads,
         num_shards * num_chunks, [&](size_t item, int worker) {
             const size_t shard = item / num_chunks;
             const size_t chunk = item % num_chunks;
-            const size_t begin = chunk * config_.chunkSize;
-            const size_t end =
-                std::min(reads.size(), begin + config_.chunkSize);
+            const size_t begin = chunk * kChunkSize;
+            const size_t end = std::min(reads.size(), begin + kChunkSize);
             PipelineStats *local =
                 stats != nullptr
                     ? &worker_stats[static_cast<size_t>(worker)]
@@ -72,20 +98,20 @@ ShardedBatchMapper::mapBatch(std::span<const std::string_view> reads,
             const ShardResidency::Lease lease =
                 residency_ != nullptr ? residency_->acquire(shard)
                                       : ShardResidency::Lease();
-            // One lane-batched pass per (chunk, shard) item. The grid
-            // partition is fixed by chunkSize, so batch groupings (and
-            // the occupancy counters) are thread-count-invariant.
-            mappers_[shard].mapReads(
+            // One mapMany per (chunk, shard) item. The grid partition
+            // is fixed by kChunkSize, so batch groupings (and the
+            // occupancy counters) are thread-count-invariant.
+            shards_[shard]->mapMany(
                 reads.subspan(begin, end - begin),
                 std::span<MapResult>(partial[shard])
                     .subspan(begin, end - begin),
                 local, workspace);
         });
 
-    // MultiGraphMapper's merge rule, applied per read over ascending
-    // shard order: lowest edit distance wins, ties go to the earlier
-    // chromosome. Order-independent inputs + fixed merge order =
-    // deterministic output.
+    // The merge rule, applied per read over ascending shard order:
+    // lowest edit distance wins, ties go to the earlier chromosome.
+    // Order-independent inputs + fixed merge order = deterministic
+    // output.
     uint64_t mapped = 0;
     for (size_t i = 0; i < reads.size(); ++i) {
         MultiMapResult &best = results[i];
@@ -104,7 +130,7 @@ ShardedBatchMapper::mapBatch(std::span<const std::string_view> reads,
 
     if (stats != nullptr) {
         // Work counters are commutative sums over the grid — identical
-        // to what the read-major path accumulates. The read-level
+        // to what a read-major loop accumulates. The read-level
         // counters count logical reads, not (read x shard) passes.
         // Thread-safety: each worker_stats slot was written by exactly
         // one pool worker, and parallelSteal's completion handshake

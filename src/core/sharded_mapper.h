@@ -1,24 +1,25 @@
 /**
  * @file
- * ShardedBatchMapper: the (read-chunk x shard) batch driver for
- * multi-chromosome references.
+ * ShardedBatchMapper: the (read-chunk x shard) batch driver — the one
+ * driver every mapping path goes through (`segram map` with every
+ * engine, `segram serve`, the benches).
  *
- * BatchMapper parallelizes over reads only: each worker maps its reads
- * against *every* chromosome back to back (MultiGraphMapper), so with
- * a handful of workers and a skewed chromosome size distribution the
- * per-read latency is dominated by the largest chromosome and every
- * worker walks the whole reference working set. This driver schedules
- * the full (read-chunk x shard) grid instead, shard-major, through the
- * thread pool's work-stealing mode: workers start on different shards
- * (locality: one shard's tables stay hot in cache while its items
- * drain), skew is absorbed by stealing, and a memory budget can keep
- * only the shards in flight resident (ShardResidency).
+ * SeGraM builds "one graph for each chromosome" and gives each HBM
+ * channel a MinSeed+BitAlign pair that shares only the read-only graph
+ * and index. Here one MappingEngine per chromosome shard plays that
+ * pair, and the driver schedules the full (read-chunk x shard) grid,
+ * shard-major, through the thread pool's work-stealing mode: workers
+ * start on different shards (locality: one shard's tables stay hot in
+ * cache while its items drain), skew is absorbed by stealing, and a
+ * memory budget can keep only the shards in flight resident
+ * (ShardResidency).
  *
- * Output is bit-identical to BatchMapper over MultiGraphMapper for
- * every thread count: per-(read, shard) results are pure functions of
- * their inputs, and the merge — lowest edit distance wins, ties to the
- * earlier chromosome — is exactly MultiGraphMapper's rule, applied
- * over a deterministic shard order after the grid completes.
+ * Output is bit-identical for every thread count: per-(read, shard)
+ * results are pure functions of their inputs, the chunk partition is
+ * fixed, and the merge — lowest edit distance wins, ties to the
+ * earlier chromosome — runs over a deterministic shard order after the
+ * grid completes. It equals a read-major loop that maps each read on
+ * every chromosome in turn with the same rule.
  */
 
 #ifndef SEGRAM_SRC_CORE_SHARDED_MAPPER_H
@@ -31,6 +32,7 @@
 #include <string_view>
 #include <vector>
 
+#include "src/core/engine.h"
 #include "src/core/reference.h"
 #include "src/core/segram.h"
 #include "src/core/workspace.h"
@@ -45,9 +47,6 @@ struct ShardedBatchConfig
     /** Worker threads; <= 0 picks the host's hardware concurrency. */
     int threads = 1;
 
-    /** Reads per work item (one item = one chunk against one shard). */
-    size_t chunkSize = 8;
-
     /**
      * Resident-shard budget in bytes; 0 maps without residency
      * control. Only effective for pack-backed references (in-memory
@@ -58,22 +57,41 @@ struct ShardedBatchConfig
 };
 
 /**
- * Work-stealing (read-chunk x shard) batch driver over the SeGraM
- * pipeline. One instance owns one thread pool and per-worker
- * workspaces; mapBatch calls must be serialized by the caller, and
- * the reference must outlive the mapper.
+ * Work-stealing (read-chunk x shard) batch driver over one
+ * MappingEngine per chromosome. One instance owns one thread pool and
+ * per-worker workspaces; mapBatch calls must be serialized by the
+ * caller, and the reference must outlive the mapper.
  */
 class ShardedBatchMapper
 {
   public:
+    /**
+     * Reads per work item (one item = one chunk against one shard).
+     * Small enough to balance skewed per-read cost, large enough to
+     * fill the lane-batched scheduler; fixed, so batch groupings (and
+     * the occupancy counters) never depend on the thread count.
+     */
+    static constexpr size_t kChunkSize = 8;
+
+    /** SegramMapper shards, one per chromosome of @p reference. */
     ShardedBatchMapper(const PreprocessedReference &reference,
                        const SegramConfig &config = {},
                        const ShardedBatchConfig &batch = {});
 
     /**
+     * Caller-built shards: @p shards[c] maps chromosome c of
+     * @p reference (how the CLI drives the CPU baselines).
+     * @throws InputError when the counts differ or a shard is null.
+     */
+    ShardedBatchMapper(const PreprocessedReference &reference,
+                       std::vector<std::unique_ptr<MappingEngine>> shards,
+                       const ShardedBatchConfig &batch = {});
+
+    /**
      * Maps reads[i] -> result[i] across the (chunk x shard) grid.
-     * Results and @p stats totals are bit-identical to
-     * BatchMapper(MultiGraphMapper) for every thread count.
+     * Results and @p stats totals are bit-identical for every thread
+     * count; the read-level counters count logical reads, the work
+     * counters sum over every (read, shard) pass.
      */
     std::vector<MultiMapResult>
     mapBatch(std::span<const std::string_view> reads,
@@ -85,25 +103,29 @@ class ShardedBatchMapper
              PipelineStats *stats = nullptr) const;
 
     int threads() const { return pool_.size(); }
-    size_t numShards() const { return mappers_.size(); }
-    std::string_view engineName() const { return "segram-sharded"; }
+    size_t numShards() const { return shards_.size(); }
+    /** The shard engines' name ("segram", "vg-like", ...). */
+    std::string_view engineName() const
+    {
+        return shards_.front()->engineName();
+    }
 
     /** All-zeros when no memory budget is active. */
     ShardResidency::Stats residencyStats() const;
 
   private:
     std::vector<std::string> names_;
-    std::vector<SegramMapper> mappers_;
-    ShardedBatchConfig config_;
+    std::vector<std::unique_ptr<MappingEngine>> shards_;
     /** Internally synchronized (ThreadPool's job state carries the
      *  clang thread-safety annotations); mapBatch is logically const
      *  but calls must be serialized by the caller — the pool runs one
      *  job at a time and the workspaces below are reused across calls. */
     mutable util::ThreadPool pool_;
-    /** One private workspace per pool worker (see BatchMapper). Not
-     *  guarded by a mutex: workspaces_[w] is touched only by pool
-     *  worker w, and the pool's job handshake orders those accesses
-     *  against the caller between batches. */
+    /** One private workspace per pool worker — the software image of
+     *  each channel module's scratchpad. Not guarded by a mutex:
+     *  workspaces_[w] is touched only by pool worker w, and the pool's
+     *  job handshake orders those accesses against the caller between
+     *  batches. */
     mutable std::vector<MapWorkspace> workspaces_;
     /** LRU residency control; null when memBudgetBytes == 0. */
     mutable std::unique_ptr<ShardResidency> residency_;

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "src/util/check.h"
-
 namespace segram::util
 {
 
@@ -51,8 +49,7 @@ ThreadPool::workerLoop(int worker_id)
 {
     uint64_t seen_generation = 0;
     while (true) {
-        const ChunkFn *fn = nullptr;
-        const ItemFn *steal_fn = nullptr;
+        const ItemFn *fn = nullptr;
         uint64_t my_generation = 0;
         {
             MutexLock lock(mutex_);
@@ -60,15 +57,13 @@ ThreadPool::workerLoop(int worker_id)
             // thread-safety analysis cannot look inside a lambda, but
             // it checks these guarded reads fine in the enclosing
             // scope, where the capability is held.
-            while (!(stop_ ||
-                     ((job_ != nullptr || stealJob_ != nullptr) &&
-                      jobGeneration_ != seen_generation)))
+            while (!(stop_ || (stealJob_ != nullptr &&
+                               jobGeneration_ != seen_generation)))
                 wake_.wait(lock.native());
             if (stop_)
                 return;
             seen_generation = my_generation = jobGeneration_;
-            fn = job_;
-            steal_fn = stealJob_;
+            fn = stealJob_;
             ++jobActiveWorkers_;
         }
 
@@ -76,31 +71,17 @@ ThreadPool::workerLoop(int worker_id)
         // job, or the job is superseded (a straggler must never claim
         // work of a later generation with the old fn).
         while (true) {
-            size_t begin;
-            size_t end;
+            size_t item = 0;
             {
                 MutexLock lock(mutex_);
                 if (jobGeneration_ != my_generation ||
-                    jobError_ != nullptr)
+                    jobError_ != nullptr ||
+                    !claimStealItem(worker_id, item))
                     break;
-                if (steal_fn != nullptr) {
-                    if (!claimStealItem(worker_id, begin))
-                        break;
-                    end = begin + 1;
-                    --stealRemaining_;
-                } else {
-                    if (jobNext_ >= jobItems_)
-                        break;
-                    begin = jobNext_;
-                    end = std::min(jobItems_, begin + jobChunk_);
-                    jobNext_ = end;
-                }
+                --stealRemaining_;
             }
             try {
-                if (steal_fn != nullptr)
-                    (*steal_fn)(begin, worker_id);
-                else
-                    (*fn)(begin, end, worker_id);
+                (*fn)(item, worker_id);
             } catch (...) {
                 MutexLock lock(mutex_);
                 if (jobGeneration_ == my_generation &&
@@ -149,39 +130,6 @@ ThreadPool::claimStealItem(int worker_id, size_t &item)
 }
 
 void
-ThreadPool::parallelFor(size_t num_items, size_t chunk_size,
-                        const ChunkFn &fn)
-{
-    SEGRAM_CHECK(chunk_size >= 1, "chunk size must be >= 1");
-    if (num_items == 0)
-        return;
-
-    MutexLock lock(mutex_);
-    job_ = &fn;
-    stealJob_ = nullptr;
-    jobItems_ = num_items;
-    jobChunk_ = chunk_size;
-    jobNext_ = 0;
-    jobError_ = nullptr;
-    ++jobGeneration_;
-    wake_.notify_all();
-
-    while (!(jobActiveWorkers_ == 0 &&
-             (jobNext_ >= jobItems_ || jobError_ != nullptr)))
-        done_.wait(lock.native());
-
-    // job_ is cleared under the same lock hold the predicate was last
-    // evaluated under, so no straggler can begin the finished job.
-    job_ = nullptr;
-    if (jobError_ != nullptr) {
-        std::exception_ptr error = jobError_;
-        jobError_ = nullptr;
-        lock.unlock();
-        std::rethrow_exception(error);
-    }
-}
-
-void
 ThreadPool::parallelSteal(size_t num_items, const ItemFn &fn)
 {
     if (num_items == 0)
@@ -189,7 +137,6 @@ ThreadPool::parallelSteal(size_t num_items, const ItemFn &fn)
 
     MutexLock lock(mutex_);
     stealJob_ = &fn;
-    job_ = nullptr;
     const size_t num_workers = workers_.size();
     stealRanges_.assign(num_workers, {0, 0});
     for (size_t w = 0; w < num_workers; ++w) {
@@ -205,6 +152,8 @@ ThreadPool::parallelSteal(size_t num_items, const ItemFn &fn)
              (stealRemaining_ == 0 || jobError_ != nullptr)))
         done_.wait(lock.native());
 
+    // stealJob_ is cleared under the same lock hold the predicate was
+    // last evaluated under, so no straggler can begin the finished job.
     stealJob_ = nullptr;
     if (jobError_ != nullptr) {
         std::exception_ptr error = jobError_;

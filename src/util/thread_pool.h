@@ -1,11 +1,11 @@
 /**
  * @file
- * A small fixed-size thread pool with a chunked parallel-for, the
- * software stand-in for SeGraM's per-channel module parallelism: the
- * paper provisions one MinSeed+BitAlign pair per HBM2E channel and
- * scales linearly across channels; here each worker thread plays the
- * role of one channel's module pair, pulling chunks of independent
- * per-read work from a shared counter.
+ * A small fixed-size work-stealing thread pool, the software stand-in
+ * for SeGraM's per-channel module parallelism: the paper provisions
+ * one MinSeed+BitAlign pair per HBM2E channel and scales linearly
+ * across channels; here each worker thread plays the role of one
+ * channel's module pair, draining (read-chunk x shard) work items of
+ * core::ShardedBatchMapper and stealing when its share runs dry.
  *
  * No external dependencies — std::thread + condition_variable only.
  */
@@ -27,25 +27,21 @@ namespace segram::util
 {
 
 /**
- * Fixed pool of worker threads executing chunked index-range jobs.
+ * Fixed pool of worker threads executing work-stealing item jobs.
  *
- * Workers are spawned once and reused across parallelFor() calls, so
+ * Workers are spawned once and reused across parallelSteal() calls, so
  * per-batch dispatch costs no thread creation. One job runs at a time;
- * parallelFor() blocks the caller until the job completes and rethrows
- * the first worker exception, if any.
+ * parallelSteal() blocks the caller until the job completes and
+ * rethrows the first worker exception, if any.
  */
 class ThreadPool
 {
   public:
     /**
-     * Chunk callback: processes items [begin, end) as worker
-     * @p worker_id (0-based, < size()). Called concurrently from
-     * different workers on disjoint ranges.
+     * Item callback: processes one work item as worker @p worker_id
+     * (0-based, < size()). Called concurrently from different workers
+     * on distinct items.
      */
-    using ChunkFn =
-        std::function<void(size_t begin, size_t end, int worker_id)>;
-
-    /** Item callback of parallelSteal: processes one work item. */
     using ItemFn = std::function<void(size_t item, int worker_id)>;
 
     /**
@@ -66,31 +62,19 @@ class ThreadPool
     int size() const { return static_cast<int>(workers_.size()); }
 
     /**
-     * Runs @p fn over [0, num_items) split into chunks of
-     * @p chunk_size, distributed dynamically across the workers.
-     * Blocks until every chunk has been processed; rethrows the first
-     * exception a worker hit (remaining chunks are abandoned).
-     *
-     * Chunk-to-worker assignment is nondeterministic under contention;
-     * callers that need deterministic output must write results by
-     * item index and keep per-worker accumulators whose merge is
-     * order-independent (see core::BatchMapper).
-     */
-    void parallelFor(size_t num_items, size_t chunk_size,
-                     const ChunkFn &fn);
-
-    /**
-     * Work-stealing variant for *skewed* item costs (e.g. per-shard
-     * mapping work where chromosome sizes differ by 10x): [0,
-     * num_items) is pre-partitioned into one contiguous range per
+     * Runs @p fn over [0, num_items), built for *skewed* item costs
+     * (e.g. per-shard mapping work where chromosome sizes differ by
+     * 10x): the range is pre-partitioned into one contiguous range per
      * worker — so workers start far apart, preserving locality of
      * item ordering — and a worker that drains its own range steals
      * the back half of the richest remaining range. Blocks until all
      * items are processed; rethrows the first worker exception
      * (remaining items are abandoned).
      *
-     * Item-to-worker assignment is nondeterministic under contention,
-     * exactly like parallelFor; the same caller rules apply.
+     * Item-to-worker assignment is nondeterministic under contention;
+     * callers that need deterministic output must write results by
+     * item index and keep per-worker accumulators whose merge is
+     * order-independent (see core::ShardedBatchMapper).
      */
     void parallelSteal(size_t num_items, const ItemFn &fn);
 
@@ -104,9 +88,9 @@ class ThreadPool
     void workerLoop(int worker_id);
 
     /**
-     * Claims the next steal-mode item for @p worker_id: its own range
-     * first, then half of the richest victim's remaining range, taken
-     * from the back. @return false when no items remain anywhere.
+     * Claims the next item for @p worker_id: its own range first,
+     * then half of the richest victim's remaining range, taken from
+     * the back. @return false when no items remain anywhere.
      */
     bool claimStealItem(int worker_id, size_t &item)
         SEGRAM_REQUIRES(mutex_);
@@ -116,18 +100,12 @@ class ThreadPool
     Mutex mutex_;
     std::condition_variable wake_;    ///< signals workers: job or stop
     std::condition_variable done_;    ///< signals caller: job finished
-    /** Current chunked job. */
-    const ChunkFn *job_ SEGRAM_GUARDED_BY(mutex_) = nullptr;
-    /** Current steal-mode job. */
+    /** Current job. */
     const ItemFn *stealJob_ SEGRAM_GUARDED_BY(mutex_) = nullptr;
-    size_t jobItems_ SEGRAM_GUARDED_BY(mutex_) = 0;
-    size_t jobChunk_ SEGRAM_GUARDED_BY(mutex_) = 1;
-    /** Next unclaimed item index. */
-    size_t jobNext_ SEGRAM_GUARDED_BY(mutex_) = 0;
-    /** Steal mode: per-worker [next, end) ranges of unclaimed items. */
+    /** Per-worker [next, end) ranges of unclaimed items. */
     std::vector<std::pair<size_t, size_t>> stealRanges_
         SEGRAM_GUARDED_BY(mutex_);
-    /** Unclaimed steal-mode items. */
+    /** Unclaimed items. */
     size_t stealRemaining_ SEGRAM_GUARDED_BY(mutex_) = 0;
     /** Bumps per job: wakeup token. */
     uint64_t jobGeneration_ SEGRAM_GUARDED_BY(mutex_) = 0;

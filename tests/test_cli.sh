@@ -2,8 +2,8 @@
 # CLI integration test: simulate a dataset, then
 #  1. map the same reads as FASTA (1 thread) and FASTQ (2 threads) and
 #     require byte-identical PAF output — wiring the FASTQ ingestion
-#     path and the BatchMapper determinism contract through the real
-#     binary;
+#     path and the ShardedBatchMapper determinism contract through the
+#     real binary;
 #  2. compare the PAF at 1/2/4/8 threads against the committed golden
 #     output (tests/golden/map_smoke.paf, captured before the
 #     zero-allocation workspace refactor) — any drift in mapping
@@ -26,7 +26,9 @@
 #     (segram, graphaligner, vg) plus the GFA route -> `segram eval`
 #     against the .truth.tsv sidecar, gating SeGraM sensitivity at >=
 #     either baseline minus epsilon (the paper's accuracy-parity
-#     claim) and the GFA route at exactly the direct route's score.
+#     claim) and the GFA route at exactly the direct route's score;
+#     the baselines ride the same sharded driver, so their PAF must be
+#     byte-identical at 1 and 4 threads.
 #
 # usage: test_cli.sh <path-to-segram-binary>
 set -e
@@ -382,6 +384,17 @@ test "$truth_rows" -eq 60 || {
 for engine in segram graphaligner vg; do
     "$bin" map --engine "$engine" --threads 2 "$tmp/e.fa" "$tmp/e.vcf" \
         "$tmp/e.reads.fq" 0.05 > "$tmp/$engine.paf" 2> /dev/null
+done
+for engine in graphaligner vg; do
+    for threads in 1 4; do
+        "$bin" map --engine "$engine" --threads "$threads" "$tmp/e.fa" \
+            "$tmp/e.vcf" "$tmp/e.reads.fq" 0.05 \
+            > "$tmp/$engine.t$threads.paf" 2> /dev/null
+    done
+    cmp "$tmp/$engine.t1.paf" "$tmp/$engine.t4.paf" || {
+        echo "FAIL: $engine PAF differs between 1 and 4 threads"
+        exit 1
+    }
 done
 # The construct -> map-from-gfa route must score exactly like the
 # direct FASTA+VCF route (it is the same graph, rebuilt from GFA).

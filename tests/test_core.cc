@@ -2,14 +2,17 @@
  * @file
  * Tests for the SegramMapper pipeline API: configuration validation,
  * mapping behaviour on linear and graph references, early exit and
- * region capping, and CIGAR consistency.
+ * region capping, CIGAR consistency, and chromosome selection through
+ * the sharded driver.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
+#include "src/core/reference.h"
 #include "src/core/segram.h"
+#include "src/core/sharded_mapper.h"
 #include "src/graph/graph_builder.h"
 #include "src/sim/dataset.h"
 #include "src/sim/genome_sim.h"
@@ -267,49 +270,47 @@ TEST(SegramMapper, ChainFilterKeepsAccuracyWithFewerRegions)
     }
 }
 
-TEST(MultiGraphMapper, PicksTheRightChromosome)
+TEST(ShardedBatchMapper, PicksTheRightChromosome)
 {
-    const auto chr1 = sim::makeDataset(smallConfig(76));
-    const auto chr2 = sim::makeDataset(smallConfig(77));
-    SegramConfig config;
-    config.earlyExitFraction = 1.0;
-    const MultiGraphMapper mapper(
-        {{"chr1", &chr1.graph, &chr1.index},
-         {"chr2", &chr2.graph, &chr2.index}},
-        config);
-    EXPECT_EQ(mapper.numChromosomes(), 2u);
-
+    auto chr1 = sim::makeDataset(smallConfig(76));
+    auto chr2 = sim::makeDataset(smallConfig(77));
     Rng rng(78);
+    std::vector<std::string> reads;
     for (int trial = 0; trial < 4; ++trial) {
         const uint64_t s1 =
             rng.nextBelow(chr1.donor.seq().size() - 400);
-        const auto on1 =
-            mapper.mapRead(chr1.donor.seq().substr(s1, 300));
-        ASSERT_TRUE(on1.mapped);
-        EXPECT_EQ(on1.chromosome, "chr1");
-        EXPECT_EQ(on1.editDistance, 0);
-
+        reads.push_back(chr1.donor.seq().substr(s1, 300));
         const uint64_t s2 =
             rng.nextBelow(chr2.donor.seq().size() - 400);
-        PipelineStats stats;
-        const auto on2 =
-            mapper.mapRead(chr2.donor.seq().substr(s2, 300), &stats);
-        ASSERT_TRUE(on2.mapped);
-        EXPECT_EQ(on2.chromosome, "chr2");
-        EXPECT_EQ(stats.readsTotal, 1u);
-        EXPECT_EQ(stats.readsMapped, 1u);
+        reads.push_back(chr2.donor.seq().substr(s2, 300));
     }
+    std::vector<PreprocessedChromosome> chromosomes;
+    chromosomes.push_back(
+        {"chr1", std::move(chr1.graph), std::move(chr1.index)});
+    chromosomes.push_back(
+        {"chr2", std::move(chr2.graph), std::move(chr2.index)});
+    const PreprocessedReference reference(std::move(chromosomes));
+    SegramConfig config;
+    config.earlyExitFraction = 1.0;
+    const ShardedBatchMapper mapper(reference, config);
+    EXPECT_EQ(mapper.numShards(), 2u);
+
+    PipelineStats stats;
+    const auto results =
+        mapper.mapBatch(std::span<const std::string>(reads), &stats);
+    for (size_t i = 0; i < reads.size(); ++i) {
+        ASSERT_TRUE(results[i].mapped) << "read " << i;
+        EXPECT_EQ(results[i].chromosome, i % 2 == 0 ? "chr1" : "chr2");
+        EXPECT_EQ(results[i].editDistance, 0);
+    }
+    EXPECT_EQ(stats.readsTotal, reads.size());
+    EXPECT_EQ(stats.readsMapped, reads.size());
 }
 
-TEST(MultiGraphMapper, RejectsBadConstruction)
+TEST(ShardedBatchMapper, RejectsEmptyReference)
 {
-    EXPECT_THROW(MultiGraphMapper(std::vector<ChromosomeRef>{}),
-                 InputError);
-    const auto dataset = sim::makeDataset(smallConfig(79));
-    EXPECT_THROW(MultiGraphMapper({{"x", nullptr, &dataset.index}}),
-                 InputError);
-    EXPECT_THROW(MultiGraphMapper({{"x", &dataset.graph, nullptr}}),
-                 InputError);
+    const PreprocessedReference empty;
+    EXPECT_THROW(ShardedBatchMapper{empty}, InputError);
 }
 
 TEST(SegramMapper, RequiresSortedGraph)

@@ -1,9 +1,10 @@
 /**
  * @file
- * Tests for the batched mapping engine layer: the ThreadPool
- * primitive, the MappingEngine contract across every backend, and the
- * BatchMapper determinism guarantee (bit-identical results and
- * correctly merged PipelineStats for every thread count).
+ * Tests for the batched mapping engine layer: the work-stealing
+ * ThreadPool primitive, the MappingEngine contract across every
+ * backend, and the ShardedBatchMapper determinism guarantee
+ * (bit-identical results and correctly merged PipelineStats for every
+ * thread count), with SeGraM and with baseline shards.
  */
 
 #include <gtest/gtest.h>
@@ -18,12 +19,15 @@
 
 #include "src/baseline/mappers.h"
 #include "src/core/engine.h"
+#include "src/core/reference.h"
 #include "src/core/segram.h"
+#include "src/core/sharded_mapper.h"
 #include "src/sim/dataset.h"
 #include "src/util/check.h"
 #include "src/util/dna.h"
 #include "src/util/rng.h"
 #include "src/util/thread_pool.h"
+#include "tests/map_test_util.h"
 
 namespace segram::core
 {
@@ -38,10 +42,7 @@ TEST(ThreadPool, CoversEveryIndexExactlyOnce)
     EXPECT_EQ(pool.size(), 4);
     constexpr size_t kItems = 1'000;
     std::vector<std::atomic<int>> hits(kItems);
-    pool.parallelFor(kItems, 7, [&](size_t begin, size_t end, int) {
-        for (size_t i = begin; i < end; ++i)
-            ++hits[i];
-    });
+    pool.parallelSteal(kItems, [&](size_t item, int) { ++hits[item]; });
     for (size_t i = 0; i < kItems; ++i)
         EXPECT_EQ(hits[i].load(), 1) << "index " << i;
 }
@@ -52,26 +53,22 @@ TEST(ThreadPool, ReusableAcrossJobsAndSizes)
     for (int round = 0; round < 5; ++round) {
         std::atomic<size_t> sum{0};
         const size_t items = 10 + static_cast<size_t>(round) * 13;
-        pool.parallelFor(items, 1 + static_cast<size_t>(round),
-                         [&](size_t begin, size_t end, int) {
-                             for (size_t i = begin; i < end; ++i)
-                                 sum += i;
-                         });
+        pool.parallelSteal(items, [&](size_t item, int) { sum += item; });
         EXPECT_EQ(sum.load(), items * (items - 1) / 2);
     }
     // Empty job is a no-op.
-    pool.parallelFor(0, 4, [](size_t, size_t, int) { FAIL(); });
+    pool.parallelSteal(0, [](size_t, int) { FAIL(); });
 }
 
 TEST(ThreadPool, SingleWorkerStillRuns)
 {
     util::ThreadPool pool(1);
     std::vector<int> order;
-    pool.parallelFor(5, 2, [&](size_t begin, size_t end, int worker) {
+    pool.parallelSteal(5, [&](size_t item, int worker) {
         EXPECT_EQ(worker, 0);
-        for (size_t i = begin; i < end; ++i)
-            order.push_back(static_cast<int>(i));
+        order.push_back(static_cast<int>(item));
     });
+    // One worker owns the whole range and drains it front to back.
     EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
@@ -80,7 +77,7 @@ TEST(ThreadPool, WorkerIdsAreInRange)
     util::ThreadPool pool(4);
     std::mutex mutex;
     std::set<int> seen;
-    pool.parallelFor(200, 1, [&](size_t, size_t, int worker) {
+    pool.parallelSteal(200, [&](size_t, int worker) {
         std::lock_guard<std::mutex> lock(mutex);
         seen.insert(worker);
     });
@@ -92,26 +89,16 @@ TEST(ThreadPool, WorkerIdsAreInRange)
 TEST(ThreadPool, PropagatesExceptionsAndSurvives)
 {
     util::ThreadPool pool(2);
-    EXPECT_THROW(
-        pool.parallelFor(100, 1,
-                         [&](size_t begin, size_t, int) {
-                             if (begin == 42)
-                                 throw InputError("boom");
-                         }),
-        InputError);
+    EXPECT_THROW(pool.parallelSteal(100,
+                                    [&](size_t item, int) {
+                                        if (item == 42)
+                                            throw InputError("boom");
+                                    }),
+                 InputError);
     // The pool is still usable after a failed job.
     std::atomic<int> count{0};
-    pool.parallelFor(10, 3, [&](size_t begin, size_t end, int) {
-        count += static_cast<int>(end - begin);
-    });
+    pool.parallelSteal(10, [&](size_t, int) { ++count; });
     EXPECT_EQ(count.load(), 10);
-}
-
-TEST(ThreadPool, RejectsZeroChunk)
-{
-    util::ThreadPool pool(1);
-    EXPECT_THROW(pool.parallelFor(4, 0, [](size_t, size_t, int) {}),
-                 InputError);
 }
 
 // --------------------------------------------------- engine test fixture
@@ -150,48 +137,6 @@ makeReads(const sim::Dataset &dataset, int count, uint64_t seed)
     return reads;
 }
 
-std::vector<std::string_view>
-viewsOf(const std::vector<std::string> &reads)
-{
-    return {reads.begin(), reads.end()};
-}
-
-void
-expectSameResults(const std::vector<MultiMapResult> &lhs,
-                  const std::vector<MultiMapResult> &rhs)
-{
-    ASSERT_EQ(lhs.size(), rhs.size());
-    for (size_t i = 0; i < lhs.size(); ++i) {
-        EXPECT_EQ(lhs[i].mapped, rhs[i].mapped) << "read " << i;
-        EXPECT_EQ(lhs[i].linearStart, rhs[i].linearStart) << "read " << i;
-        EXPECT_EQ(lhs[i].editDistance, rhs[i].editDistance)
-            << "read " << i;
-        EXPECT_EQ(lhs[i].regionsTried, rhs[i].regionsTried)
-            << "read " << i;
-        EXPECT_EQ(lhs[i].reverseComplemented, rhs[i].reverseComplemented)
-            << "read " << i;
-        EXPECT_EQ(lhs[i].chromosome, rhs[i].chromosome) << "read " << i;
-        EXPECT_EQ(lhs[i].cigar.toString(), rhs[i].cigar.toString())
-            << "read " << i;
-    }
-}
-
-void
-expectSameStats(const PipelineStats &lhs, const PipelineStats &rhs)
-{
-    EXPECT_EQ(lhs.readsTotal, rhs.readsTotal);
-    EXPECT_EQ(lhs.readsMapped, rhs.readsMapped);
-    EXPECT_EQ(lhs.regionsAligned, rhs.regionsAligned);
-    EXPECT_EQ(lhs.alignmentsFound, rhs.alignmentsFound);
-    EXPECT_EQ(lhs.seeding.minimizersComputed,
-              rhs.seeding.minimizersComputed);
-    EXPECT_EQ(lhs.seeding.minimizersKept, rhs.seeding.minimizersKept);
-    EXPECT_EQ(lhs.seeding.seedsAvailable, rhs.seeding.seedsAvailable);
-    EXPECT_EQ(lhs.seeding.seedsFetched, rhs.seeding.seedsFetched);
-    EXPECT_EQ(lhs.seeding.regionsEmitted, rhs.seeding.regionsEmitted);
-    EXPECT_EQ(lhs.seeding.lociEmitted, rhs.seeding.lociEmitted);
-}
-
 // ---------------------------------------------------------- MapWorkspace
 
 TEST(MapWorkspace, WarmWorkspaceMatchesFreshCalls)
@@ -199,7 +144,7 @@ TEST(MapWorkspace, WarmWorkspaceMatchesFreshCalls)
     // One workspace reused across a mixed workload (forward, RC and
     // junk reads) must produce exactly what per-call workspaces
     // produce — counters included. This is the reuse contract every
-    // BatchMapper worker relies on.
+    // ShardedBatchMapper worker relies on.
     const auto dataset = sim::makeDataset(smallConfig(301));
     SegramConfig config;
     config.tryReverseComplement = true;
@@ -266,56 +211,86 @@ TEST(MapWorkspace, StageTimingsAccumulateWhenStatsRequested)
     EXPECT_GT(stats.timings.linearizeSec, 0.0);
 }
 
-// ----------------------------------------------------------- BatchMapper
+// ---------------------------------------------------- ShardedBatchMapper
 
-TEST(BatchMapper, FourThreadsMatchOneThreadExactly)
+/**
+ * One chromosome per dataset ("chr1", "chr2", ...). The graphs and
+ * indexes move into the reference; the donors stay for read sampling.
+ */
+PreprocessedReference
+referenceOf(std::vector<sim::Dataset> &datasets)
 {
-    const auto dataset = sim::makeDataset(smallConfig(101));
+    std::vector<PreprocessedChromosome> chromosomes;
+    for (size_t c = 0; c < datasets.size(); ++c)
+        chromosomes.push_back({"chr" + std::to_string(c + 1),
+                               std::move(datasets[c].graph),
+                               std::move(datasets[c].index)});
+    return PreprocessedReference(std::move(chromosomes));
+}
+
+/** Reads alternating between the datasets' donors, every third one
+ *  reverse-complemented; read i comes from chromosome i % count. */
+std::vector<std::string>
+alternatingReads(const std::vector<sim::Dataset> &datasets, int count,
+                 uint64_t seed)
+{
+    std::vector<std::string> reads;
+    Rng rng(seed);
+    for (int i = 0; i < count; ++i) {
+        const auto &donor = datasets[i % datasets.size()].donor;
+        const uint64_t start = rng.nextBelow(donor.seq().size() - 400);
+        std::string read = donor.seq().substr(start, 300);
+        if (i % 3 == 1)
+            read = reverseComplement(read);
+        reads.push_back(std::move(read));
+    }
+    return reads;
+}
+
+TEST(ShardedBatchMapper, FourThreadsMatchOneThreadExactly)
+{
+    std::vector<sim::Dataset> datasets;
+    datasets.push_back(sim::makeDataset(smallConfig(101)));
+    const auto reads = makeReads(datasets[0], 30, 102);
+    const auto reference = referenceOf(datasets);
     SegramConfig config;
     config.tryReverseComplement = true;
-    const SegramMapper mapper(dataset.graph, dataset.index, config);
-    const auto reads = makeReads(dataset, 30, 102);
     const auto views = viewsOf(reads);
 
     PipelineStats stats1;
-    const BatchMapper one(mapper, {.threads = 1, .chunkSize = 4});
+    const ShardedBatchMapper one(reference, config, {.threads = 1});
     const auto results1 = one.mapBatch(
         std::span<const std::string_view>(views), &stats1);
 
     PipelineStats stats4;
-    const BatchMapper four(mapper, {.threads = 4, .chunkSize = 3});
+    const ShardedBatchMapper four(reference, config, {.threads = 4});
     const auto results4 = four.mapBatch(
         std::span<const std::string_view>(views), &stats4);
 
     expectSameResults(results1, results4);
     expectSameStats(stats1, stats4);
     EXPECT_EQ(stats4.readsTotal, reads.size());
+    EXPECT_GT(stats4.batchLaunches, 0u);
 
-    // Both match the engine's own sequential mapBatch and a bare
-    // mapRead loop.
-    PipelineStats stats_seq;
-    const auto sequential = mapper.mapBatch(
-        std::span<const std::string_view>(views), &stats_seq);
-    expectSameResults(results4, sequential);
-    expectSameStats(stats4, stats_seq);
-
+    // Both match the per-read mapRead loop.
     PipelineStats stats_loop;
-    for (size_t i = 0; i < reads.size(); ++i) {
-        const auto result = mapper.mapRead(reads[i], &stats_loop);
-        EXPECT_EQ(result.mapped, results4[i].mapped);
-        EXPECT_EQ(result.linearStart, results4[i].linearStart);
-    }
-    expectSameStats(stats4, stats_loop);
+    expectSameResults(results4,
+                      mapReadMajor(reference, config, reads, &stats_loop));
+    expectSameStats(stats4, stats_loop, /*lane_counters=*/false);
 }
 
-TEST(BatchMapper, OwnedStringOverloadAndEmptyBatch)
+TEST(ShardedBatchMapper, OwnedStringOverloadAndEmptyBatch)
 {
-    const auto dataset = sim::makeDataset(smallConfig(103));
-    const SegramMapper mapper(dataset.graph, dataset.index);
-    const BatchMapper batch(mapper, {.threads = 2});
+    std::vector<sim::Dataset> datasets;
+    datasets.push_back(sim::makeDataset(smallConfig(103)));
+    const auto reads = makeReads(datasets[0], 8, 104);
+    const auto reference = referenceOf(datasets);
+    const ShardedBatchMapper batch(reference, SegramConfig{},
+                                   {.threads = 2});
     EXPECT_EQ(batch.threads(), 2);
+    EXPECT_EQ(batch.numShards(), 1u);
+    EXPECT_EQ(batch.engineName(), "segram");
 
-    const auto reads = makeReads(dataset, 8, 104);
     const auto via_strings =
         batch.mapBatch(std::span<const std::string>(reads));
     const auto views = viewsOf(reads);
@@ -328,103 +303,130 @@ TEST(BatchMapper, OwnedStringOverloadAndEmptyBatch)
     EXPECT_TRUE(empty.empty());
 }
 
-TEST(BatchMapper, PropagatesMapperErrors)
+TEST(ShardedBatchMapper, PropagatesMapperErrors)
 {
-    const auto dataset = sim::makeDataset(smallConfig(105));
-    const SegramMapper mapper(dataset.graph, dataset.index);
+    std::vector<sim::Dataset> datasets;
+    datasets.push_back(sim::makeDataset(smallConfig(105)));
+    const auto reference = referenceOf(datasets);
     const std::vector<std::string> reads = {"ACGTACGTACGT", ""};
-    const BatchMapper batch(mapper, {.threads = 2});
+    const ShardedBatchMapper batch(reference, SegramConfig{},
+                                   {.threads = 2});
     EXPECT_THROW(batch.mapBatch(std::span<const std::string>(reads)),
                  InputError);
 }
 
-TEST(BatchMapper, MultiGraphStatsFoldReadExactUnderBatching)
+TEST(ShardedBatchMapper, StatsFoldReadExactAcrossShards)
 {
-    const auto chr1 = sim::makeDataset(smallConfig(106));
-    const auto chr2 = sim::makeDataset(smallConfig(107));
+    std::vector<sim::Dataset> datasets;
+    datasets.push_back(sim::makeDataset(smallConfig(106)));
+    datasets.push_back(sim::makeDataset(smallConfig(107)));
+    const auto reads = alternatingReads(datasets, 10, 108);
+    const auto reference = referenceOf(datasets);
     SegramConfig config;
     config.earlyExitFraction = 1.0;
-    const MultiGraphMapper mapper(
-        {{"chr1", &chr1.graph, &chr1.index},
-         {"chr2", &chr2.graph, &chr2.index}},
-        config);
-
-    // Half the reads from each chromosome's donor.
-    std::vector<std::string> reads;
-    Rng rng(108);
-    for (int i = 0; i < 10; ++i) {
-        const auto &donor = (i % 2 == 0 ? chr1 : chr2).donor;
-        const uint64_t start = rng.nextBelow(donor.seq().size() - 400);
-        reads.push_back(donor.seq().substr(start, 300));
-    }
+    config.tryReverseComplement = true;
     const auto views = viewsOf(reads);
 
     PipelineStats stats1;
-    const BatchMapper one(mapper, {.threads = 1});
+    const ShardedBatchMapper one(reference, config, {.threads = 1});
     const auto results1 = one.mapBatch(
         std::span<const std::string_view>(views), &stats1);
     PipelineStats stats4;
-    const BatchMapper four(mapper, {.threads = 4, .chunkSize = 2});
+    const ShardedBatchMapper four(reference, config, {.threads = 4});
     const auto results4 = four.mapBatch(
         std::span<const std::string_view>(views), &stats4);
 
     expectSameResults(results1, results4);
     expectSameStats(stats1, stats4);
-    // The per-chromosome fold stays read-exact: one readsTotal per
-    // logical read, even though each read ran on every chromosome.
+    // The per-shard fold stays read-exact: one readsTotal per logical
+    // read, even though each read ran on every chromosome.
     EXPECT_EQ(stats4.readsTotal, reads.size());
     EXPECT_EQ(stats4.readsMapped, reads.size());
     for (size_t i = 0; i < reads.size(); ++i) {
         EXPECT_TRUE(results4[i].mapped) << "read " << i;
         EXPECT_EQ(results4[i].chromosome, i % 2 == 0 ? "chr1" : "chr2")
             << "read " << i;
-    }
-}
-
-TEST(MultiChromosomeEngine, LiftsBaselinesToMultiChromosome)
-{
-    // The generic per-chromosome wrapper must route each read to the
-    // chromosome it came from (best edit distance wins) and fold the
-    // read-level stats exactly like MultiGraphMapper does.
-    const auto chr1 = sim::makeDataset(smallConfig(110));
-    const auto chr2 = sim::makeDataset(smallConfig(111));
-    std::vector<MultiChromosomeEngine::Entry> entries;
-    entries.push_back(
-        {"chr1", std::make_unique<baseline::GraphAlignerLike>(
-                     chr1.graph, chr1.index)});
-    entries.push_back(
-        {"chr2", std::make_unique<baseline::GraphAlignerLike>(
-                     chr2.graph, chr2.index)});
-    const MultiChromosomeEngine engine(std::move(entries),
-                                       "graphaligner-like");
-    EXPECT_EQ(engine.engineName(), "graphaligner-like");
-    EXPECT_EQ(engine.numChromosomes(), 2u);
-
-    Rng rng(112);
-    PipelineStats stats;
-    int mapped = 0;
-    for (int i = 0; i < 10; ++i) {
-        const auto &donor = (i % 2 == 0 ? chr1 : chr2).donor;
-        const uint64_t start = rng.nextBelow(donor.seq().size() - 400);
-        const auto result =
-            engine.mapOne(donor.seq().substr(start, 300), &stats);
-        if (!result.mapped)
-            continue;
-        ++mapped;
-        EXPECT_EQ(result.chromosome, i % 2 == 0 ? "chr1" : "chr2")
+        EXPECT_EQ(results4[i].reverseComplemented, i % 3 == 1)
             << "read " << i;
     }
-    EXPECT_GE(mapped, 8); // error-free reads, near-perfect mapping
-    EXPECT_EQ(stats.readsTotal, 10u); // one per logical read
-    EXPECT_EQ(stats.readsMapped, static_cast<uint64_t>(mapped));
 }
 
-TEST(MultiChromosomeEngine, RejectsEmptyAndNullEntries)
+TEST(ShardedBatchMapper, BaselineShardsRouteReadsToTheirChromosome)
 {
-    EXPECT_THROW(MultiChromosomeEngine({}, "x"), InputError);
-    std::vector<MultiChromosomeEngine::Entry> entries;
-    entries.push_back({"chr1", nullptr});
-    EXPECT_THROW(MultiChromosomeEngine(std::move(entries), "x"),
+    // The CPU baselines ride the same driver as per-chromosome shards:
+    // each read must land on the chromosome it came from (on the
+    // strand it came from), count once in readsTotal, and map
+    // identically at every thread count.
+    std::vector<sim::Dataset> datasets;
+    datasets.push_back(sim::makeDataset(smallConfig(110)));
+    datasets.push_back(sim::makeDataset(smallConfig(111)));
+    const auto reads = alternatingReads(datasets, 12, 112);
+    const auto reference = referenceOf(datasets);
+    const auto views = viewsOf(reads);
+
+    for (const std::string_view engine : {"graphaligner", "vg"}) {
+        const auto shards = [&] {
+            std::vector<std::unique_ptr<MappingEngine>> out;
+            for (size_t c = 0; c < reference.numChromosomes(); ++c) {
+                if (engine == "graphaligner")
+                    out.push_back(
+                        std::make_unique<baseline::GraphAlignerLike>(
+                            reference.graph(c), reference.index(c)));
+                else
+                    out.push_back(std::make_unique<baseline::VgLike>(
+                        reference.graph(c), reference.index(c)));
+            }
+            return out;
+        };
+        PipelineStats stats1;
+        const ShardedBatchMapper one(reference, shards(), {.threads = 1});
+        const auto results1 = one.mapBatch(
+            std::span<const std::string_view>(views), &stats1);
+        PipelineStats stats3;
+        const ShardedBatchMapper three(reference, shards(),
+                                       {.threads = 3});
+        const auto results3 = three.mapBatch(
+            std::span<const std::string_view>(views), &stats3);
+
+        expectSameResults(results1, results3);
+        expectSameStats(stats1, stats3);
+        EXPECT_EQ(stats3.readsTotal, reads.size()) << engine;
+        EXPECT_EQ(one.engineName(),
+                  engine == "vg" ? "vg-like" : "graphaligner-like");
+        int mapped = 0;
+        for (size_t i = 0; i < reads.size(); ++i) {
+            if (!results3[i].mapped)
+                continue;
+            ++mapped;
+            EXPECT_EQ(results3[i].chromosome,
+                      i % 2 == 0 ? "chr1" : "chr2")
+                << engine << " read " << i;
+            EXPECT_EQ(results3[i].reverseComplemented, i % 3 == 1)
+                << engine << " read " << i;
+        }
+        // Error-free reads: near-perfect mapping.
+        EXPECT_GE(mapped, 10) << engine;
+        EXPECT_EQ(stats3.readsMapped, static_cast<uint64_t>(mapped))
+            << engine;
+    }
+}
+
+TEST(ShardedBatchMapper, RejectsMismatchedAndNullShards)
+{
+    std::vector<sim::Dataset> datasets;
+    datasets.push_back(sim::makeDataset(smallConfig(113)));
+    datasets.push_back(sim::makeDataset(smallConfig(114)));
+    const auto reference = referenceOf(datasets);
+    std::vector<std::unique_ptr<MappingEngine>> one_shard;
+    one_shard.push_back(std::make_unique<baseline::VgLike>(
+        reference.graph(0), reference.index(0)));
+    EXPECT_THROW(ShardedBatchMapper(reference, std::move(one_shard)),
+                 InputError);
+    std::vector<std::unique_ptr<MappingEngine>> null_shard;
+    null_shard.push_back(std::make_unique<baseline::VgLike>(
+        reference.graph(0), reference.index(0)));
+    null_shard.push_back(nullptr);
+    EXPECT_THROW(ShardedBatchMapper(reference, std::move(null_shard)),
                  InputError);
 }
 
@@ -433,38 +435,40 @@ TEST(MultiChromosomeEngine, RejectsEmptyAndNullEntries)
 TEST(MappingEngine, AllBackendsDriveThroughTheInterface)
 {
     const auto dataset = sim::makeDataset(smallConfig(109));
-    const SegramMapper segram_mapper(dataset.graph, dataset.index);
-    const MultiGraphMapper multi_mapper(
-        {{"chr1", &dataset.graph, &dataset.index}});
+    SegramConfig config;
+    config.tryReverseComplement = true;
+    const SegramMapper segram_mapper(dataset.graph, dataset.index, config);
     const baseline::GraphAlignerLike ga_mapper(dataset.graph,
                                                dataset.index);
     const baseline::VgLike vg_mapper(dataset.graph, dataset.index);
 
-    const std::string read = dataset.donor.seq().substr(2'000, 300);
+    // One read on both strands, mapped twice over.
+    const std::string forward = dataset.donor.seq().substr(2'000, 300);
+    const std::string reverse = reverseComplement(forward);
+    const std::vector<std::string_view> reads = {forward, reverse,
+                                                 forward, reverse};
     const std::vector<const MappingEngine *> engines = {
-        &segram_mapper, &multi_mapper, &ga_mapper, &vg_mapper};
+        &segram_mapper, &ga_mapper, &vg_mapper};
     for (const MappingEngine *engine : engines) {
         PipelineStats stats;
-        const auto result = engine->mapOne(read, &stats);
-        EXPECT_TRUE(result.mapped) << engine->engineName();
-        EXPECT_EQ(stats.readsTotal, 1u) << engine->engineName();
-        EXPECT_EQ(stats.readsMapped, 1u) << engine->engineName();
-        EXPECT_FALSE(engine->engineName().empty());
-
-        // Every backend also batches deterministically.
-        const std::vector<std::string> reads = {read, read, read};
-        const BatchMapper batch(*engine, {.threads = 3, .chunkSize = 1});
-        const auto results =
-            batch.mapBatch(std::span<const std::string>(reads));
-        ASSERT_EQ(results.size(), 3u);
-        for (const auto &batched : results) {
-            EXPECT_EQ(batched.mapped, result.mapped);
-            EXPECT_EQ(batched.linearStart, result.linearStart);
-            EXPECT_EQ(batched.editDistance, result.editDistance);
+        MapWorkspace workspace;
+        std::vector<MapResult> results(reads.size());
+        engine->mapMany(reads, results, &stats, workspace);
+        EXPECT_EQ(stats.readsTotal, reads.size()) << engine->engineName();
+        EXPECT_EQ(stats.readsMapped, reads.size()) << engine->engineName();
+        for (size_t i = 0; i < reads.size(); ++i) {
+            EXPECT_TRUE(results[i].mapped) << engine->engineName();
+            EXPECT_EQ(results[i].reverseComplemented, i % 2 == 1)
+                << engine->engineName();
+            // Both strands land on the same forward coordinates, and a
+            // repeated read maps identically.
+            EXPECT_EQ(results[i].linearStart, results[0].linearStart)
+                << engine->engineName();
+            EXPECT_EQ(results[i].editDistance, results[0].editDistance)
+                << engine->engineName();
         }
     }
     EXPECT_EQ(segram_mapper.engineName(), "segram");
-    EXPECT_EQ(multi_mapper.engineName(), "segram-multigraph");
     EXPECT_EQ(ga_mapper.engineName(), "graphaligner-like");
     EXPECT_EQ(vg_mapper.engineName(), "vg-like");
 }
@@ -497,7 +501,7 @@ TEST(SegramMapper, RegionsTriedCountsBothStrands)
     }
 }
 
-TEST(SegramMapper, MapReadsSchedulerMatchesMapReadLoop)
+TEST(SegramMapper, MapManySchedulerMatchesMapReadLoop)
 {
     // The lane-batched region-stream scheduler — including its
     // speculative starts past undecided early-exit checks — must
@@ -531,8 +535,8 @@ TEST(SegramMapper, MapReadsSchedulerMatchesMapReadLoop)
             const auto views = viewsOf(reads);
             std::vector<MapResult> batched(count);
             PipelineStats batched_stats;
-            mapper.mapReads(std::span<const std::string_view>(views),
-                            batched, &batched_stats, workspace);
+            mapper.mapMany(std::span<const std::string_view>(views),
+                           batched, &batched_stats, workspace);
 
             PipelineStats loop_stats;
             for (size_t i = 0; i < count; ++i) {
@@ -554,14 +558,15 @@ TEST(SegramMapper, MapReadsSchedulerMatchesMapReadLoop)
                 EXPECT_EQ(solo.cigar.toString(), got.cigar.toString())
                     << "config " << c << ", read " << i;
             }
-            expectSameStats(loop_stats, batched_stats);
+            expectSameStats(loop_stats, batched_stats,
+                            /*lane_counters=*/false);
             EXPECT_EQ(batched_stats.readsTotal, count)
                 << "config " << c;
         }
     }
 }
 
-TEST(SegramMapper, MapReadsHandlesEmptyBatchAndReusedWorkspace)
+TEST(SegramMapper, MapManyHandlesEmptyBatchAndReusedWorkspace)
 {
     const auto dataset = sim::makeDataset(smallConfig(122));
     SegramConfig config;
@@ -570,7 +575,7 @@ TEST(SegramMapper, MapReadsHandlesEmptyBatchAndReusedWorkspace)
     MapWorkspace workspace;
 
     PipelineStats stats;
-    mapper.mapReads({}, {}, &stats, workspace);
+    mapper.mapMany({}, {}, &stats, workspace);
     EXPECT_EQ(stats.readsTotal, 0u);
 
     // Back-to-back batches through one workspace: the second batch
@@ -579,10 +584,10 @@ TEST(SegramMapper, MapReadsHandlesEmptyBatchAndReusedWorkspace)
     const auto views = viewsOf(reads);
     std::vector<MapResult> first(reads.size());
     std::vector<MapResult> second(reads.size());
-    mapper.mapReads(std::span<const std::string_view>(views), first,
-                    nullptr, workspace);
-    mapper.mapReads(std::span<const std::string_view>(views), second,
-                    nullptr, workspace);
+    mapper.mapMany(std::span<const std::string_view>(views), first,
+                   nullptr, workspace);
+    mapper.mapMany(std::span<const std::string_view>(views), second,
+                   nullptr, workspace);
     for (size_t i = 0; i < reads.size(); ++i) {
         EXPECT_EQ(first[i].mapped, second[i].mapped) << "read " << i;
         EXPECT_EQ(first[i].linearStart, second[i].linearStart)

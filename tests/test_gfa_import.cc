@@ -17,9 +17,9 @@
 #include <string>
 #include <vector>
 
-#include "src/core/engine.h"
 #include "src/core/reference.h"
 #include "src/core/segram.h"
+#include "src/core/sharded_mapper.h"
 #include "src/graph/genome_graph.h"
 #include "src/graph/gfa_import.h"
 #include "src/graph/graph_builder.h"
@@ -28,6 +28,7 @@
 #include "src/sim/read_sim.h"
 #include "src/util/check.h"
 #include "src/util/rng.h"
+#include "tests/map_test_util.h"
 
 namespace segram
 {
@@ -184,24 +185,19 @@ TEST(ImportGfa, ImportedReferenceMapsIdenticallyToBuilt)
 
         core::SegramConfig segram_config;
         segram_config.tryReverseComplement = true;
-        const core::MultiGraphMapper expect(reference, segram_config);
-        const core::MultiGraphMapper got(from_gfa, segram_config);
+        const core::ShardedBatchMapper expect(reference, segram_config);
+        const core::ShardedBatchMapper got(from_gfa, segram_config);
 
         Rng rng(4242);
+        std::vector<std::string> reads;
         for (int trial = 0; trial < 40; ++trial) {
             const uint64_t start =
                 rng.nextBelow(dataset.donor.seq().size() - 200);
-            const std::string read =
-                dataset.donor.seq().substr(start, 150);
-            const auto a = expect.mapOne(read);
-            const auto b = got.mapOne(read);
-            EXPECT_EQ(a.mapped, b.mapped);
-            EXPECT_EQ(a.linearStart, b.linearStart);
-            EXPECT_EQ(a.editDistance, b.editDistance);
-            EXPECT_EQ(a.reverseComplemented, b.reverseComplemented);
-            EXPECT_EQ(a.chromosome, b.chromosome);
-            EXPECT_EQ(a.cigar.toString(), b.cigar.toString());
+            reads.push_back(dataset.donor.seq().substr(start, 150));
         }
+        core::expectSameResults(
+            expect.mapBatch(std::span<const std::string>(reads)),
+            got.mapBatch(std::span<const std::string>(reads)));
     }
 }
 

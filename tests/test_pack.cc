@@ -18,9 +18,9 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
-#include "src/core/engine.h"
 #include "src/core/reference.h"
 #include "src/core/segram.h"
+#include "src/core/sharded_mapper.h"
 #include "src/eval/accuracy.h"
 #include "src/graph/graph_builder.h"
 #include "src/io/pack.h"
@@ -28,6 +28,7 @@
 #include "src/sim/dataset.h"
 #include "src/sim/read_sim.h"
 #include "src/util/check.h"
+#include "tests/map_test_util.h"
 
 namespace
 {
@@ -185,39 +186,18 @@ TEST_F(PackTest, MappingOutputBitIdenticalFreshVsLoaded)
 
     core::SegramConfig config;
     config.tryReverseComplement = true;
-    const core::MultiGraphMapper fresh_mapper(fresh, config);
-    const core::MultiGraphMapper loaded_mapper(loaded, config);
-
     for (const int threads : {1, 3}) {
-        core::BatchConfig batch;
-        batch.threads = threads;
         core::PipelineStats fresh_stats, loaded_stats;
         const auto fresh_results =
-            core::BatchMapper(fresh_mapper, batch)
+            core::ShardedBatchMapper(fresh, config, {.threads = threads})
                 .mapBatch(std::span<const std::string_view>(views),
                           &fresh_stats);
         const auto loaded_results =
-            core::BatchMapper(loaded_mapper, batch)
+            core::ShardedBatchMapper(loaded, config, {.threads = threads})
                 .mapBatch(std::span<const std::string_view>(views),
                           &loaded_stats);
-        ASSERT_EQ(fresh_results.size(), loaded_results.size());
-        for (size_t i = 0; i < fresh_results.size(); ++i) {
-            EXPECT_EQ(fresh_results[i].mapped, loaded_results[i].mapped);
-            EXPECT_EQ(fresh_results[i].linearStart,
-                      loaded_results[i].linearStart);
-            EXPECT_EQ(fresh_results[i].editDistance,
-                      loaded_results[i].editDistance);
-            EXPECT_EQ(fresh_results[i].reverseComplemented,
-                      loaded_results[i].reverseComplemented);
-            EXPECT_EQ(fresh_results[i].chromosome,
-                      loaded_results[i].chromosome);
-            EXPECT_EQ(fresh_results[i].cigar.toString(),
-                      loaded_results[i].cigar.toString());
-        }
-        EXPECT_EQ(fresh_stats.seeding.seedsFetched,
-                  loaded_stats.seeding.seedsFetched);
-        EXPECT_EQ(fresh_stats.regionsAligned,
-                  loaded_stats.regionsAligned);
+        core::expectSameResults(fresh_results, loaded_results);
+        core::expectSameStats(fresh_stats, loaded_stats);
     }
 }
 
@@ -257,10 +237,15 @@ TEST_F(PackTest, FreshAndPackLoadedReferenceScoreIdenticalAccuracy)
     config.tryReverseComplement = true;
     const auto score = [&](const core::PreprocessedReference &ref,
                            const char *mapper_name) {
-        const core::MultiGraphMapper mapper(ref, config);
+        std::vector<std::string_view> views;
+        for (const auto &read : reads)
+            views.push_back(read.seq);
+        const core::ShardedBatchMapper mapper(ref, config);
+        const auto results =
+            mapper.mapBatch(std::span<const std::string_view>(views));
         std::vector<io::PafRecord> mapped;
         for (size_t i = 0; i < reads.size(); ++i) {
-            const auto result = mapper.mapRead(reads[i].seq);
+            const auto &result = results[i];
             if (!result.mapped)
                 continue;
             mapped.push_back(io::makePafRecord(

@@ -3,9 +3,9 @@
  * Tests for the human-scale reference features: the query-time
  * occurrence cap (edge cases and thread-count determinism of the
  * stratified subsample), the work-stealing sharded batch mapper
- * (bit-identical to the monolithic multi-graph path at every thread
- * count), the shard residency LRU under a memory budget, legacy v1
- * pack loading, the work-stealing scheduler itself, and the
+ * (bit-identical to a read-major mapRead loop at every thread count),
+ * the shard residency LRU under a memory budget, legacy v1 pack
+ * loading, the work-stealing scheduler itself, and the
  * multi-chromosome / tandem-repeat simulator growth.
  */
 
@@ -21,7 +21,6 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
-#include "src/core/engine.h"
 #include "src/core/reference.h"
 #include "src/core/segram.h"
 #include "src/core/sharded_mapper.h"
@@ -31,6 +30,7 @@
 #include "src/sim/genome_sim.h"
 #include "src/util/rng.h"
 #include "src/util/thread_pool.h"
+#include "tests/map_test_util.h"
 
 namespace
 {
@@ -65,29 +65,9 @@ donorReads(const sim::Dataset &dataset, size_t count, uint64_t seed)
     return reads;
 }
 
-std::vector<std::string_view>
-viewsOf(const std::vector<std::string> &reads)
-{
-    return {reads.begin(), reads.end()};
-}
-
-void
-expectSameResults(const std::vector<core::MultiMapResult> &lhs,
-                  const std::vector<core::MultiMapResult> &rhs)
-{
-    ASSERT_EQ(lhs.size(), rhs.size());
-    for (size_t i = 0; i < lhs.size(); ++i) {
-        EXPECT_EQ(lhs[i].mapped, rhs[i].mapped) << "read " << i;
-        EXPECT_EQ(lhs[i].linearStart, rhs[i].linearStart) << "read " << i;
-        EXPECT_EQ(lhs[i].editDistance, rhs[i].editDistance)
-            << "read " << i;
-        EXPECT_EQ(lhs[i].reverseComplemented, rhs[i].reverseComplemented)
-            << "read " << i;
-        EXPECT_EQ(lhs[i].chromosome, rhs[i].chromosome) << "read " << i;
-        EXPECT_EQ(lhs[i].cigar.toString(), rhs[i].cigar.toString())
-            << "read " << i;
-    }
-}
+using core::expectSameResults;
+using core::expectSameStats;
+using core::viewsOf;
 
 // ---------------------------------------------------------------------
 // Occurrence cap
@@ -169,7 +149,8 @@ TEST(OccurrenceCap, SubsampleIsDeterministicAndBounded)
 // Sharded mapper vs monolithic, across thread counts
 // ---------------------------------------------------------------------
 
-/** Builds a 3-chromosome reference plus a mixed read batch. */
+/** Builds a 3-chromosome reference plus a mixed read batch whose size
+ *  (27) leaves a ragged last chunk. */
 struct ShardedFixture
 {
     std::vector<sim::Dataset> datasets;
@@ -188,7 +169,7 @@ struct ShardedFixture
         reference =
             core::PreprocessedReference(std::move(chromosomes));
         Rng rng(315);
-        for (int i = 0; i < 24; ++i) {
+        for (int i = 0; i < 27; ++i) {
             const auto &donor = datasets[i % 3].donor;
             const uint64_t start =
                 rng.nextBelow(donor.seq().size() - 400);
@@ -205,24 +186,30 @@ TEST(ShardedBatchMapper, MatchesMonolithicAtEveryThreadCount)
 {
     ShardedFixture fixture(0);
     const auto views = viewsOf(fixture.reads);
+    ASSERT_NE(fixture.reads.size() % core::ShardedBatchMapper::kChunkSize,
+              0u);
 
-    // The monolithic path: one MultiGraphMapper behind a BatchMapper.
-    const core::MultiGraphMapper mono(fixture.reference,
-                                      fixture.config);
-    const core::BatchMapper batch(mono, {.threads = 1});
-    const auto expected =
-        batch.mapBatch(std::span<const std::string_view>(views));
+    // The read-major reference: each read on every chromosome in turn.
+    core::PipelineStats expected_stats;
+    const auto expected = core::mapReadMajor(
+        fixture.reference, fixture.config, fixture.reads, &expected_stats);
 
+    core::PipelineStats stats1;
     for (const int threads : {1, 2, 4, 8}) {
-        core::ShardedBatchConfig batch_config;
-        batch_config.threads = threads;
-        batch_config.chunkSize = 5; // uneven chunks on 24 reads
         const core::ShardedBatchMapper sharded(
-            fixture.reference, fixture.config, batch_config);
+            fixture.reference, fixture.config, {.threads = threads});
         core::PipelineStats stats;
         const auto results = sharded.mapBatch(
             std::span<const std::string_view>(views), &stats);
         expectSameResults(results, expected);
+        // Every deterministic counter, the lane-occupancy ones included,
+        // is thread-count-invariant; the per-read loop has no lanes.
+        expectSameStats(stats, expected_stats, /*lane_counters=*/false);
+        if (threads == 1) {
+            stats1 = stats;
+            EXPECT_GT(stats1.batchedWindows, 0u);
+        }
+        expectSameStats(stats, stats1);
         EXPECT_EQ(stats.readsTotal, fixture.reads.size())
             << threads << " threads";
     }
@@ -234,22 +221,23 @@ TEST(ShardedBatchMapper, CappedSeedingIsThreadCountInvariant)
     const auto views = viewsOf(fixture.reads);
 
     std::vector<core::MultiMapResult> expected;
+    core::PipelineStats expected_stats;
     for (const int threads : {1, 2, 4, 8}) {
-        core::ShardedBatchConfig batch_config;
-        batch_config.threads = threads;
-        batch_config.chunkSize = 7;
         const core::ShardedBatchMapper sharded(
-            fixture.reference, fixture.config, batch_config);
+            fixture.reference, fixture.config, {.threads = threads});
         core::PipelineStats stats;
         auto results = sharded.mapBatch(
             std::span<const std::string_view>(views), &stats);
         // Not vacuous: the aggressive cap must actually subsample.
         EXPECT_GT(stats.seeding.minimizersCapped, 0u)
             << threads << " threads";
-        if (expected.empty())
+        if (expected.empty()) {
             expected = std::move(results);
-        else
+            expected_stats = stats;
+        } else {
             expectSameResults(results, expected);
+            expectSameStats(stats, expected_stats);
+        }
     }
 }
 
