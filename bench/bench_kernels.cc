@@ -1,11 +1,10 @@
 /**
  * @file
  * Google-benchmark microbenchmarks of the computational kernels: the
- * bitops word primitives (scalar vs the dispatched SIMD backend), the
- * minimizer sketch, index queries, BitAlign window execution (graph
- * and chain), GenASM, Myers, and the DP oracle. These are the
- * building-block costs behind every end-to-end number in the other
- * benches.
+ * minimizer sketch, index queries, BitAlign window execution (per
+ * window and lane-batched on the dispatched kernel backend), GenASM,
+ * Myers, and the DP oracle. These are the building-block costs behind
+ * every end-to-end number in the other benches.
  *
  * Usage: bench_kernels [--json OUT.json] [google-benchmark flags]
  * --json is shorthand for --benchmark_out=OUT.json
@@ -38,109 +37,6 @@ namespace
 {
 
 using namespace segram;
-
-// ------------------------------------------------- bitops primitives
-// Each primitive is measured per backend over word counts covering the
-// mapping hot path (2 words = 128-bit windows), mid-size patterns
-// (8 words) and the wide GenASM regime (64 words), so the dispatch
-// crossover is visible in one run.
-
-std::vector<uint64_t>
-benchWords(int nwords, uint64_t seed)
-{
-    Rng rng(seed);
-    std::vector<uint64_t> words(static_cast<size_t>(nwords));
-    for (auto &word : words)
-        word = rng.nextU64();
-    return words;
-}
-
-const bitops::KernelOps *
-backendOps(int which)
-{
-    if (which == 0)
-        return &bitops::scalarKernels();
-    return bitops::simdKernels(); // nullptr when unavailable
-}
-
-void
-BM_BitopsShiftLeftOneOr(benchmark::State &state)
-{
-    const bitops::KernelOps *ops = backendOps(state.range(0));
-    if (ops == nullptr) {
-        state.SkipWithError("SIMD backend unavailable");
-        return;
-    }
-    const int nwords = static_cast<int>(state.range(1));
-    const auto src = benchWords(nwords, 1);
-    const auto mask = benchWords(nwords, 2);
-    std::vector<uint64_t> dst(static_cast<size_t>(nwords));
-    for (auto _ : state) {
-        ops->shiftLeftOneOr(dst.data(), src.data(), mask.data(), nwords);
-        benchmark::DoNotOptimize(dst.data());
-        benchmark::ClobberMemory();
-    }
-    state.SetBytesProcessed(state.iterations() * nwords *
-                            sizeof(uint64_t));
-}
-
-void
-BM_BitopsAndShiftAnd(benchmark::State &state)
-{
-    const bitops::KernelOps *ops = backendOps(state.range(0));
-    if (ops == nullptr) {
-        state.SkipWithError("SIMD backend unavailable");
-        return;
-    }
-    const int nwords = static_cast<int>(state.range(1));
-    const auto src = benchWords(nwords, 3);
-    std::vector<uint64_t> dst = benchWords(nwords, 4);
-    for (auto _ : state) {
-        ops->andShiftAnd(dst.data(), src.data(), nwords);
-        benchmark::DoNotOptimize(dst.data());
-        benchmark::ClobberMemory();
-    }
-    state.SetBytesProcessed(state.iterations() * nwords *
-                            sizeof(uint64_t));
-}
-
-void
-BM_BitopsFusedCell(benchmark::State &state)
-{
-    const bitops::KernelOps *ops = backendOps(state.range(0));
-    if (ops == nullptr) {
-        state.SkipWithError("SIMD backend unavailable");
-        return;
-    }
-    const int nwords = static_cast<int>(state.range(1));
-    const auto ins = benchWords(nwords, 5);
-    const auto ds = benchWords(nwords, 6);
-    const auto match = benchWords(nwords, 7);
-    const auto pm = benchWords(nwords, 8);
-    std::vector<uint64_t> dst(static_cast<size_t>(nwords));
-    for (auto _ : state) {
-        ops->fusedCell(dst.data(), ins.data(), ds.data(), match.data(),
-                       pm.data(), nwords);
-        benchmark::DoNotOptimize(dst.data());
-        benchmark::ClobberMemory();
-    }
-    // 4 streams in, 1 out.
-    state.SetBytesProcessed(state.iterations() * nwords * 5 *
-                            sizeof(uint64_t));
-}
-
-void
-bitopsArgs(benchmark::internal::Benchmark *bench)
-{
-    for (int backend = 0; backend <= 1; ++backend)
-        for (const int nwords : {2, 8, 64})
-            bench->Args({backend, nwords});
-    bench->ArgNames({"backend", "nwords"}); // backend 0=scalar 1=simd
-}
-
-BENCHMARK(BM_BitopsShiftLeftOneOr)->Apply(bitopsArgs);
-BENCHMARK(BM_BitopsAndShiftAnd)->Apply(bitopsArgs);
-BENCHMARK(BM_BitopsFusedCell)->Apply(bitopsArgs);
 
 void
 BM_ChainSeedsScratch(benchmark::State &state)

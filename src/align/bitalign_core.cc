@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "src/align/bitalign_walk.h"
-#include "src/util/bitops_simd.h"
 #include "src/util/bitvector.h"
 #include "src/util/check.h"
 #include "src/util/dna.h"
@@ -42,74 +41,6 @@ PatternBitmasks::assign(std::string_view pattern)
 
 namespace
 {
-
-/**
- * Kernel policy adapters for computeBitvectors. The recurrence is
- * written once against this tiny interface; the width decides the
- * binding per window. FixedOps<NW> inlines the compile-time-width
- * primitives (the windowed mapping path: windowLen 128 -> NW == 2),
- * where straight-line register code beats any dispatch; TableOps
- * routes through the runtime-selected kernel table (scalar or
- * AVX2/NEON), which wins for wide patterns. All bindings are
- * bit-identical — the ops are pure integer bit manipulation.
- */
-struct TableOps
-{
-    const bitops::KernelOps &k;
-    int nw;
-
-    void
-    shiftLeftOneOr(uint64_t *dst, const uint64_t *src,
-                   const uint64_t *pm) const
-    {
-        k.shiftLeftOneOr(dst, src, pm, nw);
-    }
-    void
-    shiftLeftOneOrAnd(uint64_t *dst, const uint64_t *src,
-                      const uint64_t *pm) const
-    {
-        k.shiftLeftOneOrAnd(dst, src, pm, nw);
-    }
-    void
-    andShiftAnd(uint64_t *dst, const uint64_t *src) const
-    {
-        k.andShiftAnd(dst, src, nw);
-    }
-    void
-    fusedCell(uint64_t *dst, const uint64_t *ins, const uint64_t *ds,
-              const uint64_t *match, const uint64_t *pm) const
-    {
-        k.fusedCell(dst, ins, ds, match, pm, nw);
-    }
-};
-
-template <int NW>
-struct FixedOps
-{
-    void
-    shiftLeftOneOr(uint64_t *dst, const uint64_t *src,
-                   const uint64_t *pm) const
-    {
-        bitops::fixed::shiftLeftOneOr<NW>(dst, src, pm);
-    }
-    void
-    shiftLeftOneOrAnd(uint64_t *dst, const uint64_t *src,
-                      const uint64_t *pm) const
-    {
-        bitops::fixed::shiftLeftOneOrAnd<NW>(dst, src, pm);
-    }
-    void
-    andShiftAnd(uint64_t *dst, const uint64_t *src) const
-    {
-        bitops::fixed::andShiftAnd<NW>(dst, src);
-    }
-    void
-    fusedCell(uint64_t *dst, const uint64_t *ins, const uint64_t *ds,
-              const uint64_t *match, const uint64_t *pm) const
-    {
-        bitops::fixed::fusedCell<NW>(dst, ins, ds, match, pm);
-    }
-};
 
 /**
  * Shared state of one window computation: the flat allR store plus the
@@ -177,23 +108,24 @@ class WindowComputation
     }
 
     /**
-     * Fills allR for the whole window (Algorithm 1 lines 7-24),
-     * binding the recurrence to the width-matched kernel set: fully
-     * unrolled register code for the 1- and 2-word windows of the
-     * mapping path, the dispatched (scalar/AVX2/NEON) table otherwise.
+     * Fills allR for the whole window (Algorithm 1 lines 7-24). The
+     * 1- and 2-word windows of the mapping path bind the recurrence to
+     * a compile-time word count, so every primitive unrolls into
+     * straight-line register code; wider patterns run the same
+     * primitives with a runtime word count.
      */
     void
     computeBitvectors()
     {
         switch (nwords_) {
         case 1:
-            computeBitvectorsWith(FixedOps<1>{});
+            computeBitvectorsWith(bitops::Words<1>{});
             break;
         case 2:
-            computeBitvectorsWith(FixedOps<2>{});
+            computeBitvectorsWith(bitops::Words<2>{});
             break;
         default:
-            computeBitvectorsWith(TableOps{bitops::kernels(), nwords_});
+            computeBitvectorsWith(nwords_);
             break;
         }
     }
@@ -206,10 +138,14 @@ class WindowComputation
      * branch-free path whose d-levels are one fusedCell each, so the
      * word loop is the innermost loop and all lanes stay hot.
      */
-    template <class Ops>
+    template <bitops::WordCount W>
     void
-    computeBitvectorsWith(const Ops ops)
+    computeBitvectorsWith(const W nw)
     {
+        using bitops::andShiftAnd;
+        using bitops::fusedCell;
+        using bitops::shiftLeftOneOr;
+        using bitops::shiftLeftOneOrAnd;
         for (int i = n_ - 1; i >= 0; --i) {
             const uint64_t *pm = pm_->masks[text_.code(i)].data();
             const auto succs = text_.successorDeltas(i);
@@ -219,39 +155,39 @@ class WindowComputation
                 // Single successor (linear run): the whole column is
                 // one fused op per level, no merging.
                 const uint64_t *succ_r = r(i + succs[0], 0);
-                ops.shiftLeftOneOr(r0, succ_r, pm);
+                shiftLeftOneOr(r0, succ_r, pm, nw);
                 for (int d = 1; d <= k_; ++d) {
                     // succ_r walks the successor's level rows
                     // (contiguous, stride nwords_).
-                    ops.fusedCell(r(i, d), r(i, d - 1), succ_r,
-                                  succ_r + nwords_, pm);
+                    fusedCell(r(i, d), r(i, d - 1), succ_r,
+                              succ_r + nwords_, pm, nw);
                     succ_r += nwords_;
                 }
             } else if (succs.empty()) {
                 // Sink node: run the recurrence against the virtual
                 // successor so alignments may run off the text end
                 // (trailing read chars become insertions).
-                ops.shiftLeftOneOr(r0, virtualR(0), pm);
+                shiftLeftOneOr(r0, virtualR(0), pm, nw);
                 for (int d = 1; d <= k_; ++d) {
-                    ops.fusedCell(r(i, d), r(i, d - 1), virtualR(d - 1),
-                                  virtualR(d), pm);
+                    fusedCell(r(i, d), r(i, d - 1), virtualR(d - 1),
+                              virtualR(d), pm, nw);
                 }
             } else {
                 // Hop fan-out: fold every successor into the column.
                 // The first initializes it (no fillOnes pass), the
                 // rest AND in via the fused combo ops.
-                ops.shiftLeftOneOr(r0, r(i + succs[0], 0), pm);
+                shiftLeftOneOr(r0, r(i + succs[0], 0), pm, nw);
                 for (size_t s = 1; s < succs.size(); ++s)
-                    ops.shiftLeftOneOrAnd(r0, r(i + succs[s], 0), pm);
+                    shiftLeftOneOrAnd(r0, r(i + succs[s], 0), pm, nw);
                 for (int d = 1; d <= k_; ++d) {
                     uint64_t *rd = r(i, d);
                     const int j0 = i + succs[0];
-                    ops.fusedCell(rd, r(i, d - 1), r(j0, d - 1),
-                                  r(j0, d), pm);
+                    fusedCell(rd, r(i, d - 1), r(j0, d - 1), r(j0, d),
+                              pm, nw);
                     for (size_t s = 1; s < succs.size(); ++s) {
                         const int j = i + succs[s];
-                        ops.andShiftAnd(rd, r(j, d - 1)); // D & S
-                        ops.shiftLeftOneOrAnd(rd, r(j, d), pm); // M
+                        andShiftAnd(rd, r(j, d - 1), nw); // D & S
+                        shiftLeftOneOrAnd(rd, r(j, d), pm, nw); // M
                     }
                 }
             }

@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "src/align/bitalign_core.h"
-#include "src/util/bitops_simd.h"
 #include "src/util/bitvector.h"
 #include "src/util/check.h"
 #include "src/util/dna.h"
@@ -49,7 +48,6 @@ genAsmAlign(std::string_view text, std::string_view pattern, int k,
             bitops::clearBit(vec, b);
     }
 
-    const bitops::KernelOps &ops = bitops::kernels();
     GenAsmResult best;
     for (int i = n - 1; i >= 0; --i) {
         const uint8_t code = baseToCode(text[i]);
@@ -58,7 +56,7 @@ genAsmAlign(std::string_view text, std::string_view pattern, int k,
         const uint64_t *mask = pm.masks[code].data();
 
         // R[0] = (oldR[0] << 1) | PM.
-        ops.shiftLeftOneOr(cur_r, old_r, mask, nwords);
+        bitops::shiftLeftOneOr(cur_r, old_r, mask, nwords);
         for (int d = 1; d <= k; ++d) {
             uint64_t *rd = cur_r + static_cast<size_t>(d) * nwords;
             const uint64_t *cur_prev =
@@ -70,8 +68,8 @@ genAsmAlign(std::string_view text, std::string_view pattern, int k,
             // I & D & S & M in one fused sweep (I = curR[d-1] << 1,
             // D = oldR[d-1], S = oldR[d-1] << 1,
             // M = (oldR[d] << 1) | PM).
-            ops.fusedCell(rd, cur_prev, old_prev, old_same, mask,
-                          nwords);
+            bitops::fusedCell(rd, cur_prev, old_prev, old_same, mask,
+                              nwords);
         }
 
         // A clear bit m-1 at level d means "pattern aligns starting at

@@ -64,7 +64,10 @@ fixupColumn(uint64_t *rstream, const uint64_t *vstream,
             int lane, std::span<const uint16_t> succs,
             std::vector<uint64_t> &temp)
 {
-    const bitops::KernelOps &ops = bitops::kernels();
+    using bitops::andShiftAnd;
+    using bitops::fusedCell;
+    using bitops::shiftLeftOneOr;
+    using bitops::shiftLeftOneOrAnd;
     const size_t levels = static_cast<size_t>(k) + 1;
     const size_t col = levels * nw; // dense words per column
     // Slot 0 is the recomputed output column; slot 1+s holds successor
@@ -82,26 +85,26 @@ fixupColumn(uint64_t *rstream, const uint64_t *vstream,
         // Interior sink: recurrence against the virtual successor.
         uint64_t *v = out + col;
         gatherVirtual(vstream, levels, nw, lane, v);
-        ops.shiftLeftOneOr(out, v, pm, inw);
+        shiftLeftOneOr(out, v, pm, inw);
         for (int d = 1; d <= k; ++d)
-            ops.fusedCell(out + d * nw, out + (d - 1) * nw,
-                          v + (d - 1) * nw, v + d * nw, pm, inw);
+            fusedCell(out + d * nw, out + (d - 1) * nw, v + (d - 1) * nw,
+                      v + d * nw, pm, inw);
     } else {
         for (size_t s = 0; s < succs.size(); ++s)
             gatherColumn(rstream, t - succs[s], levels, nw, lane,
                          out + (1 + s) * col);
         const uint64_t *s0 = out + col;
-        ops.shiftLeftOneOr(out, s0, pm, inw);
+        shiftLeftOneOr(out, s0, pm, inw);
         for (size_t s = 1; s < succs.size(); ++s)
-            ops.shiftLeftOneOrAnd(out, out + (1 + s) * col, pm, inw);
+            shiftLeftOneOrAnd(out, out + (1 + s) * col, pm, inw);
         for (int d = 1; d <= k; ++d) {
             uint64_t *rd = out + d * nw;
-            ops.fusedCell(rd, out + (d - 1) * nw, s0 + (d - 1) * nw,
-                          s0 + d * nw, pm, inw);
+            fusedCell(rd, out + (d - 1) * nw, s0 + (d - 1) * nw,
+                      s0 + d * nw, pm, inw);
             for (size_t s = 1; s < succs.size(); ++s) {
                 const uint64_t *ss = out + (1 + s) * col;
-                ops.andShiftAnd(rd, ss + (d - 1) * nw, inw); // D & S
-                ops.shiftLeftOneOrAnd(rd, ss + d * nw, pm, inw); // M
+                andShiftAnd(rd, ss + (d - 1) * nw, inw); // D & S
+                shiftLeftOneOrAnd(rd, ss + d * nw, pm, inw); // M
             }
         }
     }

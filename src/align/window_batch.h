@@ -3,14 +3,14 @@
  * Lane-batched BitAlign: up to bitops::kBatchLanes *independent*
  * window alignments computed simultaneously, one per SIMD lane.
  *
- * The per-window kernels (PR 6) vectorize across the *words* of one
- * window's bitvectors, but the mapping path's dominant 1–2-word
- * windows leave most of each register idle. This layer fills the lanes
- * instead: the R[i][d] state of kBatchLanes windows is kept lane-major
- * (word group j of lane w at index j*kBatchLanes+w), so one batched
- * sweep advances every window's recurrence at once — the software
- * image of GenASM's multi-PE array and the SeGraM HGA's parallel
- * compute rows, which batch independent recurrences exactly this way.
+ * Vectorizing across the *words* of one window's bitvectors would
+ * leave most of each register idle on the mapping path's 1–2-word
+ * windows. This layer fills the lanes instead: the R[i][d] state of
+ * kBatchLanes windows is kept lane-major (word group j of lane w at
+ * index j*kBatchLanes+w), so one batched sweep advances every
+ * window's recurrence at once — the software image of GenASM's
+ * multi-PE array and the SeGraM HGA's parallel compute rows, which
+ * batch independent recurrences exactly this way.
  *
  * Because windows are independent, each lane steps through its *own*
  * column order: step t of lane w processes that window's position
@@ -22,7 +22,8 @@
  * hop fan-outs, non-unit deltas, interior sinks — are recorded while
  * the pattern-mask stream is built and patched immediately after the
  * fast sweep of their step: the lane's column is re-computed with the
- * exact per-window op sequence on densely gathered inputs and
+ * scalar per-window primitives (src/util/bitvector.h), in the same
+ * op sequence as the per-window path, on densely gathered inputs and
  * scattered back. The patch runs before step t+1 reads column t, so
  * downstream state is always exact and the batched R bits equal the
  * per-window R bits everywhere — traceback (shared via

@@ -1,5 +1,6 @@
 #include "src/util/bitops_simd.h"
 
+#include <cstddef>
 #include <cstdlib>
 #include <cstring>
 
@@ -20,86 +21,15 @@ namespace
 {
 
 // ------------------------------------------------------------- scalar
-// The reference implementations. Every other backend must be
-// bit-identical to these (pure integer ops, so any equivalent
-// reassociation is). Loops run high-to-low wherever a shifted source
-// may fully alias the destination, mirroring the vector backends.
-
-void
-scalarShiftLeftOne(uint64_t *dst, const uint64_t *src, int nwords)
-{
-    for (int i = nwords - 1; i >= 1; --i)
-        dst[i] = (src[i] << 1) | (src[i - 1] >> 63);
-    if (nwords > 0)
-        dst[0] = src[0] << 1;
-}
-
-void
-scalarAndInPlace(uint64_t *dst, const uint64_t *src, int nwords)
-{
-    for (int i = 0; i < nwords; ++i)
-        dst[i] &= src[i];
-}
-
-void
-scalarShiftLeftOneOr(uint64_t *dst, const uint64_t *src,
-                     const uint64_t *mask, int nwords)
-{
-    for (int i = nwords - 1; i >= 1; --i)
-        dst[i] = ((src[i] << 1) | (src[i - 1] >> 63)) | mask[i];
-    if (nwords > 0)
-        dst[0] = (src[0] << 1) | mask[0];
-}
-
-void
-scalarShiftLeftOneOrAnd(uint64_t *dst, const uint64_t *src,
-                        const uint64_t *mask, int nwords)
-{
-    for (int i = nwords - 1; i >= 1; --i)
-        dst[i] &= ((src[i] << 1) | (src[i - 1] >> 63)) | mask[i];
-    if (nwords > 0)
-        dst[0] &= (src[0] << 1) | mask[0];
-}
-
-void
-scalarAndShiftAnd(uint64_t *dst, const uint64_t *src, int nwords)
-{
-    for (int i = nwords - 1; i >= 1; --i)
-        dst[i] &= src[i] & ((src[i] << 1) | (src[i - 1] >> 63));
-    if (nwords > 0)
-        dst[0] &= src[0] & (src[0] << 1);
-}
-
-void
-scalarFusedCell(uint64_t *dst, const uint64_t *ins, const uint64_t *ds,
-                const uint64_t *match, const uint64_t *pm, int nwords)
-{
-    for (int i = nwords - 1; i >= 1; --i) {
-        dst[i] = ((ins[i] << 1) | (ins[i - 1] >> 63)) & ds[i] &
-                 ((ds[i] << 1) | (ds[i - 1] >> 63)) &
-                 (((match[i] << 1) | (match[i - 1] >> 63)) | pm[i]);
-    }
-    if (nwords > 0) {
-        dst[0] = (ins[0] << 1) & ds[0] & (ds[0] << 1) &
-                 ((match[0] << 1) | pm[0]);
-    }
-}
-
-void
-scalarFillOnes(uint64_t *dst, int nwords)
-{
-    for (int i = 0; i < nwords; ++i)
-        dst[i] = ~uint64_t{0};
-}
-
-// Lane-batched ops: word group j of lane w lives at j * kBatchLanes + w
+// The reference batchColumn. Every vector backend must be
+// bit-identical to it (pure integer ops, so any equivalent
+// reassociation is). Word group j of lane w lives at j * kBatchLanes + w
 // and the shift carry flows from group j-1 to group j within one lane.
-// Groups run high-to-low like the single-window shifts, so a fully
-// aliased dst == src never overwrites a group a lower pass still reads.
 
+/** Level 0 of a column: dst = (src << 1) | mask, lane by lane. */
 void
-scalarBatchShiftLeftOneOr(uint64_t *dst, const uint64_t *src,
-                          const uint64_t *mask, int nwords)
+shiftLeftOneOrLanes(uint64_t *dst, const uint64_t *src,
+                    const uint64_t *mask, int nwords)
 {
     for (int j = nwords - 1; j >= 1; --j) {
         for (int w = 0; w < kBatchLanes; ++w) {
@@ -112,10 +42,10 @@ scalarBatchShiftLeftOneOr(uint64_t *dst, const uint64_t *src,
         dst[w] = (src[w] << 1) | mask[w];
 }
 
+/** One level d >= 1 of a column: the fused cell, lane by lane. */
 void
-scalarBatchFusedCell(uint64_t *dst, const uint64_t *ins,
-                     const uint64_t *ds, const uint64_t *match,
-                     const uint64_t *pm, int nwords)
+fusedCellLanes(uint64_t *dst, const uint64_t *ins, const uint64_t *ds,
+               const uint64_t *match, const uint64_t *pm, int nwords)
 {
     for (int j = nwords - 1; j >= 1; --j) {
         for (int w = 0; w < kBatchLanes; ++w) {
@@ -133,39 +63,30 @@ scalarBatchFusedCell(uint64_t *dst, const uint64_t *ins,
     }
 }
 
-// The fused column: all levels of one step in one call. The scalar
-// version chains per-lane carries across word groups the same way the
-// per-level ops do; being pure integer ops, running the levels back to
-// back is bit-identical to the two-op sequence it replaces.
 void
 scalarBatchColumn(uint64_t *col, const uint64_t *prev, const uint64_t *pm,
                   int nwords, int levels)
 {
+    if (levels <= 0)
+        return;
     const size_t lane_words =
         static_cast<size_t>(nwords) * kBatchLanes;
-    scalarBatchShiftLeftOneOr(col, prev, pm, nwords);
+    shiftLeftOneOrLanes(col, prev, pm, nwords);
     for (int d = 1; d < levels; ++d) {
-        scalarBatchFusedCell(col + static_cast<size_t>(d) * lane_words,
-                             col + static_cast<size_t>(d - 1) * lane_words,
-                             prev + static_cast<size_t>(d - 1) * lane_words,
-                             prev + static_cast<size_t>(d) * lane_words,
-                             pm, nwords);
+        fusedCellLanes(col + static_cast<size_t>(d) * lane_words,
+                       col + static_cast<size_t>(d - 1) * lane_words,
+                       prev + static_cast<size_t>(d - 1) * lane_words,
+                       prev + static_cast<size_t>(d) * lane_words, pm,
+                       nwords);
     }
 }
 
-constexpr KernelOps kScalarOps = {
-    scalarShiftLeftOne,  scalarAndInPlace, scalarShiftLeftOneOr,
-    scalarShiftLeftOneOrAnd, scalarAndShiftAnd, scalarFusedCell,
-    scalarFillOnes, scalarBatchShiftLeftOneOr, scalarBatchFusedCell,
-    scalarBatchColumn,
-};
+constexpr KernelOps kScalarOps = {scalarBatchColumn};
 
 // --------------------------------------------------------------- AVX2
-// Four words per lane-parallel step. The cross-word carry of a
-// shift-left is materialized by a second, one-word-lower unaligned
-// load: word i's carry-in is bit 63 of word i-1. Blocks run
-// high-to-low so a fully aliased destination never overwrites a word
-// a later (lower) block still needs to read.
+// One word group of all kBatchLanes lanes is exactly one 256-bit
+// register, and the per-lane carry between word groups is a lane-wise
+// shift-in of the group below: no cross-lane permutes anywhere.
 #if defined(SEGRAM_KERNELS_AVX2)
 
 __attribute__((target("avx2"))) inline __m256i
@@ -179,211 +100,6 @@ __attribute__((target("avx2"))) inline __m256i
 avx2Load(const uint64_t *p)
 {
     return _mm256_loadu_si256(reinterpret_cast<const __m256i *>(p));
-}
-
-__attribute__((target("avx2"))) void
-avx2ShiftLeftOne(uint64_t *dst, const uint64_t *src, int nwords)
-{
-    int i = nwords - 1;
-    for (; i >= 4; i -= 4) {
-        const __m256i v = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(src + i - 3));
-        const __m256i p = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(src + i - 4));
-        _mm256_storeu_si256(reinterpret_cast<__m256i *>(dst + i - 3),
-                            avx2ShiftIn(v, p));
-    }
-    for (; i >= 1; --i)
-        dst[i] = (src[i] << 1) | (src[i - 1] >> 63);
-    if (nwords > 0)
-        dst[0] = src[0] << 1;
-}
-
-__attribute__((target("avx2"))) void
-avx2AndInPlace(uint64_t *dst, const uint64_t *src, int nwords)
-{
-    int i = 0;
-    for (; i + 4 <= nwords; i += 4) {
-        const __m256i d = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(dst + i));
-        const __m256i s = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(src + i));
-        _mm256_storeu_si256(reinterpret_cast<__m256i *>(dst + i),
-                            _mm256_and_si256(d, s));
-    }
-    for (; i < nwords; ++i)
-        dst[i] &= src[i];
-}
-
-__attribute__((target("avx2"))) void
-avx2ShiftLeftOneOr(uint64_t *dst, const uint64_t *src,
-                   const uint64_t *mask, int nwords)
-{
-    int i = nwords - 1;
-    for (; i >= 4; i -= 4) {
-        const __m256i v = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(src + i - 3));
-        const __m256i p = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(src + i - 4));
-        const __m256i m = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(mask + i - 3));
-        _mm256_storeu_si256(
-            reinterpret_cast<__m256i *>(dst + i - 3),
-            _mm256_or_si256(avx2ShiftIn(v, p), m));
-    }
-    for (; i >= 1; --i)
-        dst[i] = ((src[i] << 1) | (src[i - 1] >> 63)) | mask[i];
-    if (nwords > 0)
-        dst[0] = (src[0] << 1) | mask[0];
-}
-
-__attribute__((target("avx2"))) void
-avx2ShiftLeftOneOrAnd(uint64_t *dst, const uint64_t *src,
-                      const uint64_t *mask, int nwords)
-{
-    int i = nwords - 1;
-    for (; i >= 4; i -= 4) {
-        const __m256i v = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(src + i - 3));
-        const __m256i p = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(src + i - 4));
-        const __m256i m = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(mask + i - 3));
-        const __m256i d = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(dst + i - 3));
-        _mm256_storeu_si256(
-            reinterpret_cast<__m256i *>(dst + i - 3),
-            _mm256_and_si256(d,
-                             _mm256_or_si256(avx2ShiftIn(v, p), m)));
-    }
-    for (; i >= 1; --i)
-        dst[i] &= ((src[i] << 1) | (src[i - 1] >> 63)) | mask[i];
-    if (nwords > 0)
-        dst[0] &= (src[0] << 1) | mask[0];
-}
-
-__attribute__((target("avx2"))) void
-avx2AndShiftAnd(uint64_t *dst, const uint64_t *src, int nwords)
-{
-    int i = nwords - 1;
-    for (; i >= 4; i -= 4) {
-        const __m256i v = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(src + i - 3));
-        const __m256i p = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(src + i - 4));
-        const __m256i d = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(dst + i - 3));
-        _mm256_storeu_si256(
-            reinterpret_cast<__m256i *>(dst + i - 3),
-            _mm256_and_si256(d,
-                             _mm256_and_si256(v, avx2ShiftIn(v, p))));
-    }
-    for (; i >= 1; --i)
-        dst[i] &= src[i] & ((src[i] << 1) | (src[i - 1] >> 63));
-    if (nwords > 0)
-        dst[0] &= src[0] & (src[0] << 1);
-}
-
-__attribute__((target("avx2"))) void
-avx2FusedCell(uint64_t *dst, const uint64_t *ins, const uint64_t *ds,
-              const uint64_t *match, const uint64_t *pm, int nwords)
-{
-    int i = nwords - 1;
-    for (; i >= 4; i -= 4) {
-        const __m256i iv = avx2Load(ins + i - 3);
-        const __m256i ip = avx2Load(ins + i - 4);
-        const __m256i dv = avx2Load(ds + i - 3);
-        const __m256i dp = avx2Load(ds + i - 4);
-        const __m256i mv = avx2Load(match + i - 3);
-        const __m256i mp = avx2Load(match + i - 4);
-        const __m256i pmv = avx2Load(pm + i - 3);
-        const __m256i cell = _mm256_and_si256(
-            _mm256_and_si256(avx2ShiftIn(iv, ip), dv),
-            _mm256_and_si256(
-                avx2ShiftIn(dv, dp),
-                _mm256_or_si256(avx2ShiftIn(mv, mp), pmv)));
-        _mm256_storeu_si256(reinterpret_cast<__m256i *>(dst + i - 3),
-                            cell);
-    }
-    for (; i >= 1; --i) {
-        dst[i] = ((ins[i] << 1) | (ins[i - 1] >> 63)) & ds[i] &
-                 ((ds[i] << 1) | (ds[i - 1] >> 63)) &
-                 (((match[i] << 1) | (match[i - 1] >> 63)) | pm[i]);
-    }
-    if (nwords > 0) {
-        dst[0] = (ins[0] << 1) & ds[0] & (ds[0] << 1) &
-                 ((match[0] << 1) | pm[0]);
-    }
-}
-
-__attribute__((target("avx2"))) void
-avx2FillOnes(uint64_t *dst, int nwords)
-{
-    int i = 0;
-    const __m256i ones = _mm256_set1_epi64x(-1);
-    for (; i + 4 <= nwords; i += 4)
-        _mm256_storeu_si256(reinterpret_cast<__m256i *>(dst + i), ones);
-    for (; i < nwords; ++i)
-        dst[i] = ~uint64_t{0};
-}
-
-// Lane-batched ops: one word group of all kBatchLanes lanes is exactly
-// one 256-bit register, and the per-lane carry between word groups is
-// the same lane-wise shift-in the single-window kernels use — no
-// cross-lane permutes anywhere. Group order is high-to-low so a fully
-// aliased shifting dst stays safe.
-
-__attribute__((target("avx2"))) void
-avx2BatchShiftLeftOneOr(uint64_t *dst, const uint64_t *src,
-                        const uint64_t *mask, int nwords)
-{
-    for (int j = nwords - 1; j >= 1; --j) {
-        const __m256i v = avx2Load(src + static_cast<size_t>(j) * 4);
-        const __m256i p =
-            avx2Load(src + static_cast<size_t>(j - 1) * 4);
-        const __m256i m = avx2Load(mask + static_cast<size_t>(j) * 4);
-        _mm256_storeu_si256(
-            reinterpret_cast<__m256i *>(dst + static_cast<size_t>(j) * 4),
-            _mm256_or_si256(avx2ShiftIn(v, p), m));
-    }
-    const __m256i v0 = avx2Load(src);
-    const __m256i m0 = avx2Load(mask);
-    _mm256_storeu_si256(
-        reinterpret_cast<__m256i *>(dst),
-        _mm256_or_si256(_mm256_slli_epi64(v0, 1), m0));
-}
-
-__attribute__((target("avx2"))) void
-avx2BatchFusedCell(uint64_t *dst, const uint64_t *ins, const uint64_t *ds,
-                   const uint64_t *match, const uint64_t *pm, int nwords)
-{
-    for (int j = nwords - 1; j >= 1; --j) {
-        const size_t at = static_cast<size_t>(j) * 4;
-        const size_t below = at - 4;
-        const __m256i iv = avx2Load(ins + at);
-        const __m256i ip = avx2Load(ins + below);
-        const __m256i dv = avx2Load(ds + at);
-        const __m256i dp = avx2Load(ds + below);
-        const __m256i mv = avx2Load(match + at);
-        const __m256i mp = avx2Load(match + below);
-        const __m256i pmv = avx2Load(pm + at);
-        const __m256i cell = _mm256_and_si256(
-            _mm256_and_si256(avx2ShiftIn(iv, ip), dv),
-            _mm256_and_si256(
-                avx2ShiftIn(dv, dp),
-                _mm256_or_si256(avx2ShiftIn(mv, mp), pmv)));
-        _mm256_storeu_si256(reinterpret_cast<__m256i *>(dst + at), cell);
-    }
-    const __m256i iv = avx2Load(ins);
-    const __m256i dv = avx2Load(ds);
-    const __m256i mv = avx2Load(match);
-    const __m256i pmv = avx2Load(pm);
-    const __m256i cell = _mm256_and_si256(
-        _mm256_and_si256(_mm256_slli_epi64(iv, 1), dv),
-        _mm256_and_si256(
-            _mm256_slli_epi64(dv, 1),
-            _mm256_or_si256(_mm256_slli_epi64(mv, 1), pmv)));
-    _mm256_storeu_si256(reinterpret_cast<__m256i *>(dst), cell);
 }
 
 // Fused column, fixed width: the whole step stays in registers. Level
@@ -452,214 +168,23 @@ avx2BatchColumn(uint64_t *col, const uint64_t *prev, const uint64_t *pm,
         avx2BatchColumnFixed<2>(col, prev, pm, levels);
         return;
     }
-    // Wide patterns: per-level sweeps (no register set holds them).
-    const size_t lane_words = static_cast<size_t>(nwords) * kBatchLanes;
-    avx2BatchShiftLeftOneOr(col, prev, pm, nwords);
-    for (int d = 1; d < levels; ++d) {
-        avx2BatchFusedCell(col + static_cast<size_t>(d) * lane_words,
-                           col + static_cast<size_t>(d - 1) * lane_words,
-                           prev + static_cast<size_t>(d - 1) * lane_words,
-                           prev + static_cast<size_t>(d) * lane_words,
-                           pm, nwords);
-    }
+    // Wider than any BitAlign window: no register set holds the column.
+    scalarBatchColumn(col, prev, pm, nwords, levels);
 }
 
-constexpr KernelOps kAvx2Ops = {
-    avx2ShiftLeftOne,  avx2AndInPlace, avx2ShiftLeftOneOr,
-    avx2ShiftLeftOneOrAnd, avx2AndShiftAnd, avx2FusedCell,
-    avx2FillOnes, avx2BatchShiftLeftOneOr, avx2BatchFusedCell,
-    avx2BatchColumn,
-};
+constexpr KernelOps kAvx2Ops = {avx2BatchColumn};
 
 #endif // SEGRAM_KERNELS_AVX2
 
 // --------------------------------------------------------------- NEON
-// Two words per step on the baseline aarch64 vector unit; same
-// carry-by-lower-load and high-to-low block order as AVX2.
+// Same register chaining as AVX2, with each 4-lane word group split
+// across two 128-bit registers.
 #if defined(SEGRAM_KERNELS_NEON)
 
 inline uint64x2_t
 neonShiftIn(uint64x2_t v, uint64x2_t below)
 {
     return vorrq_u64(vshlq_n_u64(v, 1), vshrq_n_u64(below, 63));
-}
-
-void
-neonShiftLeftOne(uint64_t *dst, const uint64_t *src, int nwords)
-{
-    int i = nwords - 1;
-    for (; i >= 2; i -= 2) {
-        const uint64x2_t v = vld1q_u64(src + i - 1);
-        const uint64x2_t p = vld1q_u64(src + i - 2);
-        vst1q_u64(dst + i - 1, neonShiftIn(v, p));
-    }
-    for (; i >= 1; --i)
-        dst[i] = (src[i] << 1) | (src[i - 1] >> 63);
-    if (nwords > 0)
-        dst[0] = src[0] << 1;
-}
-
-void
-neonAndInPlace(uint64_t *dst, const uint64_t *src, int nwords)
-{
-    int i = 0;
-    for (; i + 2 <= nwords; i += 2)
-        vst1q_u64(dst + i,
-                  vandq_u64(vld1q_u64(dst + i), vld1q_u64(src + i)));
-    for (; i < nwords; ++i)
-        dst[i] &= src[i];
-}
-
-void
-neonShiftLeftOneOr(uint64_t *dst, const uint64_t *src,
-                   const uint64_t *mask, int nwords)
-{
-    int i = nwords - 1;
-    for (; i >= 2; i -= 2) {
-        const uint64x2_t v = vld1q_u64(src + i - 1);
-        const uint64x2_t p = vld1q_u64(src + i - 2);
-        vst1q_u64(dst + i - 1,
-                  vorrq_u64(neonShiftIn(v, p), vld1q_u64(mask + i - 1)));
-    }
-    for (; i >= 1; --i)
-        dst[i] = ((src[i] << 1) | (src[i - 1] >> 63)) | mask[i];
-    if (nwords > 0)
-        dst[0] = (src[0] << 1) | mask[0];
-}
-
-void
-neonShiftLeftOneOrAnd(uint64_t *dst, const uint64_t *src,
-                      const uint64_t *mask, int nwords)
-{
-    int i = nwords - 1;
-    for (; i >= 2; i -= 2) {
-        const uint64x2_t v = vld1q_u64(src + i - 1);
-        const uint64x2_t p = vld1q_u64(src + i - 2);
-        const uint64x2_t term =
-            vorrq_u64(neonShiftIn(v, p), vld1q_u64(mask + i - 1));
-        vst1q_u64(dst + i - 1, vandq_u64(vld1q_u64(dst + i - 1), term));
-    }
-    for (; i >= 1; --i)
-        dst[i] &= ((src[i] << 1) | (src[i - 1] >> 63)) | mask[i];
-    if (nwords > 0)
-        dst[0] &= (src[0] << 1) | mask[0];
-}
-
-void
-neonAndShiftAnd(uint64_t *dst, const uint64_t *src, int nwords)
-{
-    int i = nwords - 1;
-    for (; i >= 2; i -= 2) {
-        const uint64x2_t v = vld1q_u64(src + i - 1);
-        const uint64x2_t p = vld1q_u64(src + i - 2);
-        const uint64x2_t term = vandq_u64(v, neonShiftIn(v, p));
-        vst1q_u64(dst + i - 1, vandq_u64(vld1q_u64(dst + i - 1), term));
-    }
-    for (; i >= 1; --i)
-        dst[i] &= src[i] & ((src[i] << 1) | (src[i - 1] >> 63));
-    if (nwords > 0)
-        dst[0] &= src[0] & (src[0] << 1);
-}
-
-void
-neonFusedCell(uint64_t *dst, const uint64_t *ins, const uint64_t *ds,
-              const uint64_t *match, const uint64_t *pm, int nwords)
-{
-    int i = nwords - 1;
-    for (; i >= 2; i -= 2) {
-        const uint64x2_t iv = vld1q_u64(ins + i - 1);
-        const uint64x2_t ip = vld1q_u64(ins + i - 2);
-        const uint64x2_t dv = vld1q_u64(ds + i - 1);
-        const uint64x2_t dp = vld1q_u64(ds + i - 2);
-        const uint64x2_t mv = vld1q_u64(match + i - 1);
-        const uint64x2_t mp = vld1q_u64(match + i - 2);
-        const uint64x2_t pmv = vld1q_u64(pm + i - 1);
-        const uint64x2_t cell = vandq_u64(
-            vandq_u64(neonShiftIn(iv, ip), dv),
-            vandq_u64(neonShiftIn(dv, dp),
-                      vorrq_u64(neonShiftIn(mv, mp), pmv)));
-        vst1q_u64(dst + i - 1, cell);
-    }
-    for (; i >= 1; --i) {
-        dst[i] = ((ins[i] << 1) | (ins[i - 1] >> 63)) & ds[i] &
-                 ((ds[i] << 1) | (ds[i - 1] >> 63)) &
-                 (((match[i] << 1) | (match[i - 1] >> 63)) | pm[i]);
-    }
-    if (nwords > 0) {
-        dst[0] = (ins[0] << 1) & ds[0] & (ds[0] << 1) &
-                 ((match[0] << 1) | pm[0]);
-    }
-}
-
-void
-neonFillOnes(uint64_t *dst, int nwords)
-{
-    int i = 0;
-    const uint64x2_t ones = vdupq_n_u64(~uint64_t{0});
-    for (; i + 2 <= nwords; i += 2)
-        vst1q_u64(dst + i, ones);
-    for (; i < nwords; ++i)
-        dst[i] = ~uint64_t{0};
-}
-
-// Lane-batched ops: one word group of the 4 lanes spans two 128-bit
-// registers; the carry rule stays lane-wise, same as AVX2.
-
-void
-neonBatchShiftLeftOneOr(uint64_t *dst, const uint64_t *src,
-                        const uint64_t *mask, int nwords)
-{
-    for (int j = nwords - 1; j >= 1; --j) {
-        const size_t at = static_cast<size_t>(j) * 4;
-        const size_t below = at - 4;
-        for (int h = 0; h < 4; h += 2) {
-            const uint64x2_t v = vld1q_u64(src + at + h);
-            const uint64x2_t p = vld1q_u64(src + below + h);
-            vst1q_u64(dst + at + h,
-                      vorrq_u64(neonShiftIn(v, p),
-                                vld1q_u64(mask + at + h)));
-        }
-    }
-    for (int h = 0; h < 4; h += 2) {
-        const uint64x2_t v = vld1q_u64(src + h);
-        vst1q_u64(dst + h,
-                  vorrq_u64(vshlq_n_u64(v, 1), vld1q_u64(mask + h)));
-    }
-}
-
-void
-neonBatchFusedCell(uint64_t *dst, const uint64_t *ins, const uint64_t *ds,
-                   const uint64_t *match, const uint64_t *pm, int nwords)
-{
-    for (int j = nwords - 1; j >= 1; --j) {
-        const size_t at = static_cast<size_t>(j) * 4;
-        const size_t below = at - 4;
-        for (int h = 0; h < 4; h += 2) {
-            const uint64x2_t iv = vld1q_u64(ins + at + h);
-            const uint64x2_t ip = vld1q_u64(ins + below + h);
-            const uint64x2_t dv = vld1q_u64(ds + at + h);
-            const uint64x2_t dp = vld1q_u64(ds + below + h);
-            const uint64x2_t mv = vld1q_u64(match + at + h);
-            const uint64x2_t mp = vld1q_u64(match + below + h);
-            const uint64x2_t pmv = vld1q_u64(pm + at + h);
-            const uint64x2_t cell = vandq_u64(
-                vandq_u64(neonShiftIn(iv, ip), dv),
-                vandq_u64(neonShiftIn(dv, dp),
-                          vorrq_u64(neonShiftIn(mv, mp), pmv)));
-            vst1q_u64(dst + at + h, cell);
-        }
-    }
-    for (int h = 0; h < 4; h += 2) {
-        const uint64x2_t iv = vld1q_u64(ins + h);
-        const uint64x2_t dv = vld1q_u64(ds + h);
-        const uint64x2_t mv = vld1q_u64(match + h);
-        const uint64x2_t pmv = vld1q_u64(pm + h);
-        const uint64x2_t cell = vandq_u64(
-            vandq_u64(vshlq_n_u64(iv, 1), dv),
-            vandq_u64(vshlq_n_u64(dv, 1),
-                      vorrq_u64(vshlq_n_u64(mv, 1), pmv)));
-        vst1q_u64(dst + h, cell);
-    }
 }
 
 // Fused column, fixed width: same register chaining as the AVX2
@@ -733,23 +258,10 @@ neonBatchColumn(uint64_t *col, const uint64_t *prev, const uint64_t *pm,
         neonBatchColumnFixed<2>(col, prev, pm, levels);
         return;
     }
-    const size_t lane_words = static_cast<size_t>(nwords) * kBatchLanes;
-    neonBatchShiftLeftOneOr(col, prev, pm, nwords);
-    for (int d = 1; d < levels; ++d) {
-        neonBatchFusedCell(col + static_cast<size_t>(d) * lane_words,
-                           col + static_cast<size_t>(d - 1) * lane_words,
-                           prev + static_cast<size_t>(d - 1) * lane_words,
-                           prev + static_cast<size_t>(d) * lane_words,
-                           pm, nwords);
-    }
+    scalarBatchColumn(col, prev, pm, nwords, levels);
 }
 
-constexpr KernelOps kNeonOps = {
-    neonShiftLeftOne,  neonAndInPlace, neonShiftLeftOneOr,
-    neonShiftLeftOneOrAnd, neonAndShiftAnd, neonFusedCell,
-    neonFillOnes, neonBatchShiftLeftOneOr, neonBatchFusedCell,
-    neonBatchColumn,
-};
+constexpr KernelOps kNeonOps = {neonBatchColumn};
 
 #endif // SEGRAM_KERNELS_NEON
 

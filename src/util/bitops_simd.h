@@ -1,39 +1,30 @@
 /**
  * @file
- * Vectorized kernel layer for the BitAlign word primitives.
+ * The vectorized kernel of BitAlign: one lane-batched recurrence
+ * column.
  *
- * The BitAlign recurrence (Algorithm 1) is a stream of word-wise
- * shift/AND/OR sweeps over multi-word bitvectors. In hardware every
- * R[d] word updates in parallel in the PE array; in software the same
- * parallelism maps onto SIMD lanes. This layer provides:
+ * In hardware every R[d] word of every PE updates in parallel; the
+ * software image of that array is batchColumn, which advances all
+ * k+1 levels of kBatchLanes independent windows in one call. It is
+ * the only vector op in the tree. The per-window primitives
+ * (shiftLeftOneOr, fusedCell, ...) are scalar and defined once, in
+ * src/util/bitvector.h: BitAlign windows are 128 bp (2 words), where
+ * straight-line scalar code beats any vector body.
  *
- *  - KernelOps: a function table of the word primitives, including the
- *    fused combo ops (shiftLeftOneOrAnd, andShiftAnd, fusedCell) that
- *    collapse the M/S/D term sequence of one recurrence cell into a
- *    single pass over the words instead of ~6 read-modify-write sweeps.
- *  - scalarKernels(): the portable reference implementation, always
+ *  - scalarKernels(): the portable reference batchColumn, always
  *    available, bit-identical to every other backend by construction
  *    (all ops are pure integer bit manipulation).
- *  - simdKernels(): the best vectorized table this build + CPU supports
+ *  - simdKernels(): the vector batchColumn this build + CPU supports
  *    (AVX2 on x86-64 via runtime CPUID, NEON on aarch64), or nullptr.
- *  - kernels(): the active table, selected once at startup. The
+ *    Both keep the whole column in registers at 1 and 2 words and
+ *    hand wider columns to the scalar definition.
+ *  - kernels(): the active backend, selected once at startup. The
  *    SEGRAM_DISABLE_SIMD compile definition or a non-zero
- *    SEGRAM_DISABLE_SIMD environment variable forces the scalar table
- *    (the CI fallback leg and local bit-identity checks use this).
- *  - bitops::fixed: compile-time-width inline variants of the fused
- *    ops. The mapping hot path runs 128-bit windows (nwords == 2),
- *    where per-call dispatch and a runtime word loop cost more than
- *    the work itself; WindowComputation selects a fixed-width cell
- *    kernel per window and falls back to the dispatched table for
- *    wide patterns.
+ *    SEGRAM_DISABLE_SIMD environment variable forces the scalar
+ *    backend.
  *
- * Aliasing contract: dst == src (full overlap) is allowed for every
- * in-place op (andInPlace, andShiftAnd, shiftLeftOneOrAnd) and for the
- * shifting copies (shiftLeftOne, shiftLeftOneOr); partial overlap is
- * not. fusedCell writes a fresh destination: dst must not overlap any
- * source. All backends honor the same contract (the vector loops
- * iterate high-to-low so a fully aliased shift never reads a word it
- * already wrote).
+ * No other file under src/ includes a vector intrinsics header; the
+ * simd-confined rule of tools/lint/segram_lint.py enforces it.
  */
 
 #ifndef SEGRAM_SRC_UTIL_BITOPS_SIMD_H
@@ -44,7 +35,7 @@
 namespace segram::bitops
 {
 
-/** Which kernel implementation backs the dispatched table. */
+/** Which implementation backs the dispatched batchColumn. */
 enum class KernelBackend : uint8_t
 {
     Scalar,
@@ -53,111 +44,51 @@ enum class KernelBackend : uint8_t
 };
 
 /**
- * Function table of the BitAlign word primitives. All ops operate on
- * arrays of @p nwords 64-bit words, least-significant word first,
- * matching the bitops free functions.
- */
-struct KernelOps
-{
-    /** dst = src << 1 (0 shifted into bit 0). */
-    void (*shiftLeftOne)(uint64_t *dst, const uint64_t *src, int nwords);
-
-    /** dst &= src. */
-    void (*andInPlace)(uint64_t *dst, const uint64_t *src, int nwords);
-
-    /** dst = (src << 1) | mask. */
-    void (*shiftLeftOneOr)(uint64_t *dst, const uint64_t *src,
-                           const uint64_t *mask, int nwords);
-
-    /**
-     * Fused M term: dst &= ((src << 1) | mask). Replaces a
-     * shiftLeftOneOr into scratch plus an andInPlace (two sweeps, one
-     * temporary) with a single sweep and no temporary.
-     */
-    void (*shiftLeftOneOrAnd)(uint64_t *dst, const uint64_t *src,
-                              const uint64_t *mask, int nwords);
-
-    /**
-     * Fused D & S terms: dst &= src & (src << 1). One sweep for the
-     * deletion (unshifted) and substitution (shifted) vectors of a
-     * successor, which always arrive as the same source.
-     */
-    void (*andShiftAnd)(uint64_t *dst, const uint64_t *src, int nwords);
-
-    /**
-     * One whole single-successor recurrence cell in one sweep:
-     *
-     *   dst = (ins << 1) & ds & (ds << 1) & ((match << 1) | pm)
-     *
-     * i.e. I & D & S & M with ins = R[i][d-1], ds = R[j][d-1],
-     * match = R[j][d]. This is the op the BitAlign PE array computes
-     * per cycle; fusing it turns ~6 read-modify-write sweeps per
-     * (i, d) cell into 4 loads and 1 store per word.
-     */
-    void (*fusedCell)(uint64_t *dst, const uint64_t *ins,
-                      const uint64_t *ds, const uint64_t *match,
-                      const uint64_t *pm, int nwords);
-
-    /** Sets all words to all-ones. */
-    void (*fillOnes)(uint64_t *dst, int nwords);
-
-    /**
-     * Lane-batched dst = (src << 1) | mask over kBatchLanes independent
-     * windows in the lane-major layout (see kBatchLanes). The shift
-     * carry propagates within each lane only (word group j-1 of lane w
-     * feeds word group j of lane w); lanes never mix, so one batched
-     * sweep is bit-identical to kBatchLanes scalar shiftLeftOneOr calls
-     * on the de-interleaved vectors.
-     */
-    void (*batchShiftLeftOneOr)(uint64_t *dst, const uint64_t *src,
-                                const uint64_t *mask, int nwords);
-
-    /**
-     * Lane-batched fusedCell: one whole single-successor recurrence
-     * cell for kBatchLanes independent windows per sweep. Same
-     * lane-major layout and per-lane carry rule as batchShiftLeftOneOr;
-     * dst must not overlap any source.
-     */
-    void (*batchFusedCell)(uint64_t *dst, const uint64_t *ins,
-                           const uint64_t *ds, const uint64_t *match,
-                           const uint64_t *pm, int nwords);
-
-    /**
-     * One whole lane-batched recurrence column in a single call:
-     * equivalent to batchShiftLeftOneOr(col, prev, pm, nwords) followed
-     * by batchFusedCell(col + d*L, col + (d-1)*L, prev + (d-1)*L,
-     * prev + d*L, pm, nwords) for d = 1 .. levels-1, with
-     * L = nwords * kBatchLanes. @p col and @p prev are level-major
-     * stacks of @p levels lane-major rows and must not overlap.
-     *
-     * The recurrence chains across levels — level d's insertion input
-     * is level d-1's output, and its deletion source is level d-1's
-     * match source — so fusing the column keeps pm, the previous
-     * level's output and the shifted previous source in registers: one
-     * fresh load of prev per word group per level instead of four, and
-     * one call per step instead of one per level.
-     */
-    void (*batchColumn)(uint64_t *col, const uint64_t *prev,
-                        const uint64_t *pm, int nwords, int levels);
-};
-
-/**
- * Windows per lane-batched kernel sweep. The batched ops run this many
+ * Windows per lane-batched kernel sweep. batchColumn runs this many
  * *independent* window recurrences at once in a lane-major
  * (struct-of-arrays) layout: word group j of lane w lives at index
  * j * kBatchLanes + w, so group j of all lanes is one contiguous
  * 256-bit block — exactly one AVX2 register (4 x 64-bit lanes). The
  * constant is the same for every backend (scalar and NEON included):
  * the layout, and therefore batched-vs-per-window bit-identity, never
- * depends on which table executes the sweep.
+ * depends on which backend executes the sweep.
  */
 constexpr int kBatchLanes = 4;
 
-/** @return The portable scalar table (always available). */
+/** The dispatched kernel of one backend. */
+struct KernelOps
+{
+    /**
+     * One whole lane-batched recurrence column. Level 0 is
+     *
+     *   col[0] = (prev[0] << 1) | pm
+     *
+     * and each level d = 1 .. levels-1 is the fused recurrence cell
+     *
+     *   col[d] = (col[d-1] << 1) & prev[d-1] & (prev[d-1] << 1)
+     *            & ((prev[d] << 1) | pm)
+     *
+     * i.e. per lane, shiftLeftOneOr then one fusedCell per level
+     * (src/util/bitvector.h) on the de-interleaved vectors. Each row
+     * holds @p nwords word groups of kBatchLanes lanes; the shift
+     * carry flows from group j-1 to group j within one lane, so lanes
+     * never mix. @p col and @p prev are level-major stacks of
+     * @p levels rows and must not overlap.
+     *
+     * The recurrence chains across levels, so the vector backends
+     * keep pm, the previous level's output and the shifted previous
+     * source in registers: one fresh load of prev per word group per
+     * level instead of four, and one call per step.
+     */
+    void (*batchColumn)(uint64_t *col, const uint64_t *prev,
+                        const uint64_t *pm, int nwords, int levels);
+};
+
+/** @return The portable scalar backend (always available). */
 const KernelOps &scalarKernels();
 
 /**
- * @return The best vectorized table this build and CPU support (AVX2
+ * @return The vector backend this build and CPU support (AVX2
  *         checked via CPUID at first call, NEON unconditionally on
  *         aarch64), or nullptr when none is available or the build
  *         was configured with SEGRAM_DISABLE_SIMD.
@@ -168,9 +99,9 @@ const KernelOps *simdKernels();
 KernelBackend simdBackend();
 
 /**
- * @return The active table: simdKernels() unless unavailable or
+ * @return The active backend: simdKernels() unless unavailable or
  *         disabled (SEGRAM_DISABLE_SIMD build option or environment
- *         variable), else the scalar table. Selected once, on first
+ *         variable), else the scalar one. Selected once, on first
  *         call; the decision never changes within a process.
  */
 const KernelOps &kernels();
@@ -184,85 +115,6 @@ const char *backendName(KernelBackend backend);
 
 /** @return backendName(activeBackend()). */
 const char *activeBackendName();
-
-/**
- * Compile-time-width variants of the kernel primitives for the narrow
- * bitvectors of the windowed mapping path (windowLen 128 -> 2 words).
- * The word loop fully unrolls and every carry lives in a register, so
- * one recurrence cell compiles to straight-line code with no calls.
- * Semantics are word-for-word those of the KernelOps entries.
- */
-namespace fixed
-{
-
-template <int NW>
-inline void
-shiftLeftOne(uint64_t *dst, const uint64_t *src)
-{
-    uint64_t carry = 0;
-    for (int w = 0; w < NW; ++w) {
-        const uint64_t s = src[w];
-        dst[w] = (s << 1) | carry;
-        carry = s >> 63;
-    }
-}
-
-template <int NW>
-inline void
-shiftLeftOneOr(uint64_t *dst, const uint64_t *src, const uint64_t *mask)
-{
-    uint64_t carry = 0;
-    for (int w = 0; w < NW; ++w) {
-        const uint64_t s = src[w];
-        dst[w] = ((s << 1) | carry) | mask[w];
-        carry = s >> 63;
-    }
-}
-
-template <int NW>
-inline void
-shiftLeftOneOrAnd(uint64_t *dst, const uint64_t *src,
-                  const uint64_t *mask)
-{
-    uint64_t carry = 0;
-    for (int w = 0; w < NW; ++w) {
-        const uint64_t s = src[w];
-        dst[w] &= ((s << 1) | carry) | mask[w];
-        carry = s >> 63;
-    }
-}
-
-template <int NW>
-inline void
-andShiftAnd(uint64_t *dst, const uint64_t *src)
-{
-    uint64_t carry = 0;
-    for (int w = 0; w < NW; ++w) {
-        const uint64_t s = src[w];
-        dst[w] &= s & ((s << 1) | carry);
-        carry = s >> 63;
-    }
-}
-
-template <int NW>
-inline void
-fusedCell(uint64_t *dst, const uint64_t *ins, const uint64_t *ds,
-          const uint64_t *match, const uint64_t *pm)
-{
-    uint64_t ci = 0, cd = 0, cm = 0;
-    for (int w = 0; w < NW; ++w) {
-        const uint64_t iv = ins[w];
-        const uint64_t dv = ds[w];
-        const uint64_t mv = match[w];
-        dst[w] = ((iv << 1) | ci) & dv & ((dv << 1) | cd) &
-                 (((mv << 1) | cm) | pm[w]);
-        ci = iv >> 63;
-        cd = dv >> 63;
-        cm = mv >> 63;
-    }
-}
-
-} // namespace fixed
 
 } // namespace segram::bitops
 

@@ -1,161 +1,163 @@
 /**
  * @file
- * Fixed-width multi-word bitvector, the data type that the Bitap/GenASM/
- * BitAlign status vectors (R[d]) are made of.
+ * Multi-word bit arrays, the data type that the Bitap/GenASM/BitAlign
+ * status vectors (R[d]) are made of, and the per-window word
+ * primitives of the BitAlign recurrence.
  *
  * Conventions follow the active-low Bitap family used throughout SeGraM:
  * a 0 bit means "match so far", a 1 bit means "no match". Shifting left
  * brings a 0 into the least-significant bit, which is exactly the
- * behaviour the recurrences in Algorithm 1 of the paper need. Bits above
- * the configured width are always kept at 1 so that equality comparisons
- * and most-significant-bit probes are well defined.
+ * behaviour the recurrences in Algorithm 1 of the paper need. Arrays
+ * are flat runs of 64-bit words, least-significant word first.
+ *
+ * Each primitive is defined once, here. Its word count is a parameter
+ * type: a runtime `int`, or `Words<N>` (a std::integral_constant) for
+ * the 1- and 2-word windows of the mapping path, where the word loop
+ * fully unrolls and every carry lives in a register. Both instances
+ * run the same body, so they agree word for word. The lane-batched
+ * recurrence column (bitops::KernelOps, src/util/bitops_simd.h) is
+ * the only vectorized kernel; every per-window op is scalar.
+ *
+ * Aliasing contract: dst == src (full overlap) is allowed for the
+ * shifting ops (shiftLeftOneOr, shiftLeftOneOrAnd, andShiftAnd): each
+ * word of src is read before the same word of dst is written, and the
+ * carry is kept in a register. Partial overlap is not allowed.
+ * fusedCell writes a fresh destination: dst must not overlap any
+ * source.
  */
 
 #ifndef SEGRAM_SRC_UTIL_BITVECTOR_H
 #define SEGRAM_SRC_UTIL_BITVECTOR_H
 
-#include <cassert>
+#include <concepts>
+#include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <string>
+#include <type_traits>
 #include <vector>
 
 #include "src/util/check.h"
 
-namespace segram
+namespace segram::bitops
 {
 
-/**
- * A fixed-width bitvector with the handful of operations the BitAlign
- * recurrence needs: shift-left-by-one, bitwise AND/OR, and single-bit
- * probes. Width is set at construction and never changes; all operands of
- * binary operations must share the same width.
- */
-class Bitvector
-{
-  public:
-    /** Number of payload bits per storage word. */
-    static constexpr int bitsPerWord = 64;
-
-    /** Creates an empty (zero-width) bitvector. */
-    Bitvector() = default;
-
-    /**
-     * Creates a bitvector of the given width.
-     *
-     * @param width Number of bits.
-     * @param ones  When true (the default, matching the all-ones
-     *              initialization of Algorithm 1), every bit starts at 1.
-     */
-    explicit Bitvector(int width, bool ones = true);
-
-    /** @return The width in bits. */
-    int width() const { return width_; }
-
-    /** @return Number of 64-bit words backing this vector. */
-    int numWords() const { return static_cast<int>(words_.size()); }
-
-    /** Sets every payload bit to 1. */
-    void setAllOnes();
-
-    /** Sets every payload bit to 0. */
-    void setAllZeros();
-
-    /** @return Bit at position @p pos (0 = least significant). */
-    bool test(int pos) const;
-
-    /** Sets bit at position @p pos to @p value. */
-    void set(int pos, bool value);
-
-    /**
-     * Shifts the whole vector left by one bit, bringing a 0 into bit 0 and
-     * discarding the old most-significant payload bit.
-     */
-    void shiftLeftOne();
-
-    /** @return A copy of this vector shifted left by one. */
-    Bitvector shiftedLeftOne() const;
-
-    /** In-place bitwise OR with @p other (same width required). */
-    Bitvector &operator|=(const Bitvector &other);
-
-    /** In-place bitwise AND with @p other (same width required). */
-    Bitvector &operator&=(const Bitvector &other);
-
-    friend Bitvector operator|(Bitvector lhs, const Bitvector &rhs)
-    {
-        lhs |= rhs;
-        return lhs;
-    }
-
-    friend Bitvector operator&(Bitvector lhs, const Bitvector &rhs)
-    {
-        lhs &= rhs;
-        return lhs;
-    }
-
-    bool operator==(const Bitvector &other) const = default;
-
-    /** @return Number of 0 bits (i.e., "match" positions). */
-    int countZeros() const;
-
-    /** @return The raw word at index @p idx (LSB word is index 0). */
-    uint64_t word(int idx) const { return words_[idx]; }
-
-    /** Direct mutable access to the backing words (keeps padding rule). */
-    uint64_t *data() { return words_.data(); }
-    const uint64_t *data() const { return words_.data(); }
-
-    /**
-     * Renders the vector as a binary string, most-significant bit first,
-     * e.g. "0111" for width 4 with only bit 3 clear... (bit 3 = '0').
-     */
-    std::string toString() const;
-
-  private:
-    /** Forces all padding bits (>= width) back to 1. */
-    void repairPadding();
-
-    int width_ = 0;
-    std::vector<uint64_t> words_;
-};
-
-/**
- * Free-function kernels operating on raw word arrays. BitAlignCore uses
- * these on flat storage to avoid per-node allocations; Bitvector methods
- * forward to them so both layers share one implementation.
- */
-namespace bitops
-{
+/** Payload bits per storage word. */
+constexpr int kBitsPerWord = 64;
 
 /** @return Words needed to hold @p width bits. */
 inline int
 wordsForWidth(int width)
 {
-    return (width + Bitvector::bitsPerWord - 1) / Bitvector::bitsPerWord;
+    return (width + kBitsPerWord - 1) / kBitsPerWord;
 }
 
-/** dst = src << 1 over @p nwords words (0 shifted into bit 0). */
-void shiftLeftOne(uint64_t *dst, const uint64_t *src, int nwords);
-
-/** dst &= src over @p nwords words. */
-void andInPlace(uint64_t *dst, const uint64_t *src, int nwords);
-
-/** dst |= src over @p nwords words. */
-void orInPlace(uint64_t *dst, const uint64_t *src, int nwords);
-
-/** dst = (src << 1) | mask over @p nwords words. */
-void shiftLeftOneOr(uint64_t *dst, const uint64_t *src, const uint64_t *mask,
-                    int nwords);
-
-/** Sets all @p nwords words to all-ones. */
-void fillOnes(uint64_t *dst, int nwords);
-
 /** @return Bit @p pos of the array. */
-bool testBit(const uint64_t *words, int pos);
+inline bool
+testBit(const uint64_t *words, int pos)
+{
+    return (words[pos / kBitsPerWord] >> (pos % kBitsPerWord)) & 1;
+}
 
 /** Clears bit @p pos of the array. */
-void clearBit(uint64_t *words, int pos);
+inline void
+clearBit(uint64_t *words, int pos)
+{
+    words[pos / kBitsPerWord] &= ~(uint64_t{1} << (pos % kBitsPerWord));
+}
+
+/** A word count fixed at compile time. */
+template <int N>
+using Words = std::integral_constant<int, N>;
+
+/** A word count: a runtime int, or Words<N>. */
+template <class W>
+concept WordCount =
+    std::same_as<W, int> || std::same_as<W, Words<W::value>>;
+
+/** dst = (src << 1) | mask (0 shifted into bit 0). */
+template <WordCount W>
+inline void
+shiftLeftOneOr(uint64_t *dst, const uint64_t *src, const uint64_t *mask,
+               W nwords)
+{
+    uint64_t carry = 0;
+    for (int w = 0; w < nwords; ++w) {
+        const uint64_t s = src[w];
+        dst[w] = ((s << 1) | carry) | mask[w];
+        carry = s >> 63;
+    }
+}
+
+/**
+ * Fused M term: dst &= ((src << 1) | mask). One sweep and no
+ * temporary instead of a shiftLeftOneOr into scratch plus an AND.
+ */
+template <WordCount W>
+inline void
+shiftLeftOneOrAnd(uint64_t *dst, const uint64_t *src, const uint64_t *mask,
+                  W nwords)
+{
+    uint64_t carry = 0;
+    for (int w = 0; w < nwords; ++w) {
+        const uint64_t s = src[w];
+        dst[w] &= ((s << 1) | carry) | mask[w];
+        carry = s >> 63;
+    }
+}
+
+/**
+ * Fused D & S terms: dst &= src & (src << 1). One sweep for the
+ * deletion (unshifted) and substitution (shifted) vectors of a
+ * successor, which always arrive as the same source.
+ */
+template <WordCount W>
+inline void
+andShiftAnd(uint64_t *dst, const uint64_t *src, W nwords)
+{
+    uint64_t carry = 0;
+    for (int w = 0; w < nwords; ++w) {
+        const uint64_t s = src[w];
+        dst[w] &= s & ((s << 1) | carry);
+        carry = s >> 63;
+    }
+}
+
+/**
+ * One whole single-successor recurrence cell in one sweep:
+ *
+ *   dst = (ins << 1) & ds & (ds << 1) & ((match << 1) | pm)
+ *
+ * i.e. I & D & S & M with ins = R[i][d-1], ds = R[j][d-1],
+ * match = R[j][d]. This is the op the BitAlign PE array computes per
+ * cycle: 4 loads and 1 store per word instead of ~6 read-modify-write
+ * sweeps per (i, d) cell.
+ */
+template <WordCount W>
+inline void
+fusedCell(uint64_t *dst, const uint64_t *ins, const uint64_t *ds,
+          const uint64_t *match, const uint64_t *pm, W nwords)
+{
+    uint64_t ci = 0, cd = 0, cm = 0;
+    for (int w = 0; w < nwords; ++w) {
+        const uint64_t iv = ins[w];
+        const uint64_t dv = ds[w];
+        const uint64_t mv = match[w];
+        dst[w] = ((iv << 1) | ci) & dv & ((dv << 1) | cd) &
+                 (((mv << 1) | cm) | pm[w]);
+        ci = iv >> 63;
+        cd = dv >> 63;
+        cm = mv >> 63;
+    }
+}
+
+/** Sets all words to all-ones. */
+template <WordCount W>
+inline void
+fillOnes(uint64_t *dst, W nwords)
+{
+    for (int w = 0; w < nwords; ++w)
+        dst[w] = ~uint64_t{0};
+}
 
 /**
  * A flat, reusable arena of 64-bit words: the software analogue of the
@@ -246,8 +248,6 @@ class WordSlab
     size_t cap_ = 0;  ///< padded reset() capacity the carves may use
 };
 
-} // namespace bitops
-
-} // namespace segram
+} // namespace segram::bitops
 
 #endif // SEGRAM_SRC_UTIL_BITVECTOR_H

@@ -7,7 +7,9 @@
 #  2. compare the PAF at 1/2/4/8 threads against the committed golden
 #     output (tests/golden/map_smoke.paf, captured before the
 #     zero-allocation workspace refactor) — any drift in mapping
-#     results across the refactor or thread counts fails here;
+#     results across the refactor or thread counts fails here; the
+#     same golden bytes are required with SEGRAM_DISABLE_SIMD=1 (the
+#     runtime switch to the scalar kernel backend) at 1 and 4 threads;
 #  3. build a .segram pack with `segram index` and require that mapping
 #     from the pack produces byte-identical PAF to mapping from
 #     FASTA+VCF — the pack round-trip contract, end to end;
@@ -63,6 +65,24 @@ for threads in 1 2 4 8; do
     }
 done
 echo "cli golden output OK (bit-identical at 1/2/4/8 threads)"
+
+# The runtime kill switch: SEGRAM_DISABLE_SIMD=1 selects the scalar
+# batchColumn backend, which must map to the same golden bytes.
+for threads in 1 4; do
+    SEGRAM_DISABLE_SIMD=1 "$bin" map --threads "$threads" --stats \
+        "$tmp/d.fa" "$tmp/d.vcf" "$tmp/d.reads.fa" \
+        > "$tmp/s$threads.paf" 2> "$tmp/s$threads.log"
+    cmp "$golden" "$tmp/s$threads.paf" || {
+        echo "FAIL: SEGRAM_DISABLE_SIMD=1 PAF at $threads thread(s)" \
+             "differs from golden"
+        exit 1
+    }
+    grep -q "kernel backend: scalar" "$tmp/s$threads.log" || {
+        echo "FAIL: SEGRAM_DISABLE_SIMD=1 did not select the scalar backend"
+        exit 1
+    }
+done
+echo "cli SEGRAM_DISABLE_SIMD=1 OK (scalar backend, golden at 1/4 threads)"
 
 # --stats must print the per-stage wall-time breakdown.
 "$bin" map --threads 2 --stats "$tmp/d.fa" "$tmp/d.vcf" \

@@ -1,15 +1,18 @@
 /**
  * @file
- * Scalar-vs-SIMD equivalence tests for the bitops kernel layer.
+ * Tests for the BitAlign word-kernel layer: the lane-batched
+ * batchColumn on every backend, and the single scalar definition of
+ * each per-window primitive.
  *
- * Every primitive in KernelOps is pure integer bit manipulation, so
- * every backend must agree bit-for-bit on every input — this is the
- * property that lets the mapper swap kernels without changing a single
- * PAF byte. The fuzz loops sweep widths 1..512 bits (covering every
- * word-boundary edge and every vector-tail length), random payloads,
- * the documented dst==src aliasing cases, and the fused ops against
- * their composed definitions. The suite runs under the sanitizer CI
- * job, so out-of-bounds vector tails or unaligned-load UB fail loudly.
+ * Every op is pure integer bit manipulation, so every backend must
+ * agree bit-for-bit on every input — this is the property that lets
+ * the mapper swap kernels without changing a single PAF byte. The
+ * batched column is checked lane by lane against the per-window
+ * primitives it is defined by; the primitives are checked against a
+ * bit-by-bit reference, under the documented aliasing, and at
+ * compile-time against runtime word counts. The suite runs under the
+ * sanitizer CI job, so out-of-bounds vector tails or unaligned-load
+ * UB fail loudly.
  */
 
 #include <gtest/gtest.h>
@@ -27,30 +30,22 @@ namespace
 {
 
 using namespace segram;
+using WordVec = std::vector<uint64_t>;
 
-/** Widths that exercise word boundaries and vector-block tails. */
+constexpr int kLanes = bitops::kBatchLanes;
+
+/** Widths that exercise word boundaries. */
 const std::vector<int> kEdgeWidths = {1,   2,   63,  64,  65,  127,
                                       128, 129, 191, 192, 255, 256,
                                       257, 319, 383, 447, 511, 512};
 
-std::vector<uint64_t>
+WordVec
 randomWords(Rng &rng, int nwords)
 {
-    std::vector<uint64_t> words(static_cast<size_t>(nwords));
+    WordVec words(static_cast<size_t>(nwords));
     for (auto &word : words)
         word = rng.nextU64();
     return words;
-}
-
-/** All widths 1..512 plus the explicit edge list (deduplicated by the
- *  sweep being a superset — the list documents intent). */
-std::vector<int>
-allWidths()
-{
-    std::vector<int> widths;
-    for (int w = 1; w <= 512; ++w)
-        widths.push_back(w);
-    return widths;
 }
 
 struct Backend
@@ -59,7 +54,7 @@ struct Backend
     const char *name;
 };
 
-/** Scalar always; the SIMD table when this build + CPU provide one. */
+/** Scalar always; the SIMD backend when this build + CPU provide one. */
 std::vector<Backend>
 backends()
 {
@@ -70,10 +65,41 @@ backends()
     return list;
 }
 
+// Bit-by-bit references for the per-window primitives.
+
+WordVec
+shiftedLeftOne(const WordVec &src)
+{
+    WordVec out(src.size(), 0);
+    const int bits =
+        static_cast<int>(src.size()) * bitops::kBitsPerWord;
+    for (int b = bits - 1; b >= 1; --b)
+        if (bitops::testBit(src.data(), b - 1))
+            out[static_cast<size_t>(b / 64)] |= uint64_t{1}
+                                                << (b % 64);
+    return out;
+}
+
+WordVec
+andOf(WordVec a, const WordVec &b)
+{
+    for (size_t i = 0; i < a.size(); ++i)
+        a[i] &= b[i];
+    return a;
+}
+
+WordVec
+orOf(WordVec a, const WordVec &b)
+{
+    for (size_t i = 0; i < a.size(); ++i)
+        a[i] |= b[i];
+    return a;
+}
+
 TEST(SimdKernels, DispatchIsConsistent)
 {
-    // kernels() must hand back either the scalar table or the SIMD
-    // table, and activeBackend() must describe the same choice.
+    // kernels() must hand back either the scalar backend or the SIMD
+    // one, and activeBackend() must describe the same choice.
     const bitops::KernelOps &active = bitops::kernels();
     if (bitops::activeBackend() == bitops::KernelBackend::Scalar) {
         EXPECT_EQ(&active, &bitops::scalarKernels());
@@ -84,264 +110,193 @@ TEST(SimdKernels, DispatchIsConsistent)
     }
 }
 
-TEST(SimdKernels, AllPrimitivesMatchScalarOnAllWidths)
+TEST(WordOps, FusedOpsMatchComposedDefinitions)
 {
-    Rng rng(0x5eeded);
-    const auto &scalar = bitops::scalarKernels();
-    for (const Backend &backend : backends()) {
-        for (const int width : allWidths()) {
-            const int nwords = bitops::wordsForWidth(width);
-            const auto src = randomWords(rng, nwords);
-            const auto mask = randomWords(rng, nwords);
-            const auto init = randomWords(rng, nwords);
-
-            const auto check = [&](const char *op, auto &&run) {
-                std::vector<uint64_t> want = init;
-                std::vector<uint64_t> got = init;
-                run(scalar, want.data());
-                run(*backend.ops, got.data());
-                ASSERT_EQ(want, got)
-                    << op << " diverged on backend " << backend.name
-                    << " at width " << width;
-            };
-            check("shiftLeftOne",
-                  [&](const bitops::KernelOps &k, uint64_t *dst) {
-                      k.shiftLeftOne(dst, src.data(), nwords);
-                  });
-            check("andInPlace",
-                  [&](const bitops::KernelOps &k, uint64_t *dst) {
-                      k.andInPlace(dst, src.data(), nwords);
-                  });
-            check("shiftLeftOneOr",
-                  [&](const bitops::KernelOps &k, uint64_t *dst) {
-                      k.shiftLeftOneOr(dst, src.data(), mask.data(),
-                                       nwords);
-                  });
-            check("shiftLeftOneOrAnd",
-                  [&](const bitops::KernelOps &k, uint64_t *dst) {
-                      k.shiftLeftOneOrAnd(dst, src.data(), mask.data(),
-                                          nwords);
-                  });
-            check("andShiftAnd",
-                  [&](const bitops::KernelOps &k, uint64_t *dst) {
-                      k.andShiftAnd(dst, src.data(), nwords);
-                  });
-            check("fillOnes",
-                  [&](const bitops::KernelOps &k, uint64_t *dst) {
-                      k.fillOnes(dst, nwords);
-                  });
-        }
-    }
-}
-
-TEST(SimdKernels, FusedCellMatchesScalarOnAllWidths)
-{
-    Rng rng(0xce11);
-    const auto &scalar = bitops::scalarKernels();
-    for (const Backend &backend : backends()) {
-        for (const int width : allWidths()) {
-            const int nwords = bitops::wordsForWidth(width);
-            const auto ins = randomWords(rng, nwords);
-            const auto ds = randomWords(rng, nwords);
-            const auto match = randomWords(rng, nwords);
-            const auto pm = randomWords(rng, nwords);
-            std::vector<uint64_t> want(static_cast<size_t>(nwords));
-            std::vector<uint64_t> got(static_cast<size_t>(nwords));
-            scalar.fusedCell(want.data(), ins.data(), ds.data(),
-                             match.data(), pm.data(), nwords);
-            backend.ops->fusedCell(got.data(), ins.data(), ds.data(),
-                                   match.data(), pm.data(), nwords);
-            ASSERT_EQ(want, got) << "fusedCell diverged on backend "
-                                 << backend.name << " at width "
-                                 << width;
-        }
-    }
-}
-
-TEST(SimdKernels, FusedOpsMatchComposedDefinitions)
-{
-    // The fused ops are defined in terms of the simple primitives;
-    // verify the definitions hold (on the scalar table — the previous
-    // tests extend the property to every backend transitively).
+    // Each primitive against its definition, composed from a
+    // bit-by-bit shift and plain word-wise AND/OR.
     Rng rng(0xf05ed);
-    const auto &k = bitops::scalarKernels();
     for (const int width : kEdgeWidths) {
         const int nwords = bitops::wordsForWidth(width);
-        const auto src = randomWords(rng, nwords);
-        const auto mask = randomWords(rng, nwords);
-        const auto init = randomWords(rng, nwords);
-        std::vector<uint64_t> tmp(static_cast<size_t>(nwords));
+        const WordVec src = randomWords(rng, nwords);
+        const WordVec mask = randomWords(rng, nwords);
+        const WordVec init = randomWords(rng, nwords);
+        const WordVec ds = randomWords(rng, nwords);
+        const WordVec match = randomWords(rng, nwords);
 
-        // shiftLeftOneOrAnd == shiftLeftOneOr into tmp, then AND.
-        std::vector<uint64_t> composed = init;
-        k.shiftLeftOneOr(tmp.data(), src.data(), mask.data(), nwords);
-        k.andInPlace(composed.data(), tmp.data(), nwords);
-        std::vector<uint64_t> fused = init;
-        k.shiftLeftOneOrAnd(fused.data(), src.data(), mask.data(),
-                            nwords);
-        EXPECT_EQ(composed, fused) << "shiftLeftOneOrAnd, width "
-                                   << width;
+        WordVec got(static_cast<size_t>(nwords));
+        bitops::shiftLeftOneOr(got.data(), src.data(), mask.data(),
+                               nwords);
+        EXPECT_EQ(orOf(shiftedLeftOne(src), mask), got)
+            << "shiftLeftOneOr, width " << width;
 
-        // andShiftAnd == AND src, then AND (src << 1).
-        composed = init;
-        k.andInPlace(composed.data(), src.data(), nwords);
-        k.shiftLeftOne(tmp.data(), src.data(), nwords);
-        k.andInPlace(composed.data(), tmp.data(), nwords);
-        fused = init;
-        k.andShiftAnd(fused.data(), src.data(), nwords);
-        EXPECT_EQ(composed, fused) << "andShiftAnd, width " << width;
+        got = init;
+        bitops::shiftLeftOneOrAnd(got.data(), src.data(), mask.data(),
+                                  nwords);
+        EXPECT_EQ(andOf(init, orOf(shiftedLeftOne(src), mask)), got)
+            << "shiftLeftOneOrAnd, width " << width;
 
-        // fusedCell == I & D & S & M built from the simple ops.
-        const auto ds = randomWords(rng, nwords);
-        const auto match = randomWords(rng, nwords);
-        k.shiftLeftOne(composed.data(), init.data(), nwords); // I
-        k.andInPlace(composed.data(), ds.data(), nwords);     // & D
-        k.andShiftAnd(composed.data(), ds.data(), nwords);    // & S (&D)
-        k.shiftLeftOneOrAnd(composed.data(), match.data(), mask.data(),
-                            nwords);                          // & M
-        fused.resize(static_cast<size_t>(nwords));
-        k.fusedCell(fused.data(), init.data(), ds.data(), match.data(),
-                    mask.data(), nwords);
-        EXPECT_EQ(composed, fused) << "fusedCell, width " << width;
+        got = init;
+        bitops::andShiftAnd(got.data(), src.data(), nwords);
+        EXPECT_EQ(andOf(andOf(init, src), shiftedLeftOne(src)), got)
+            << "andShiftAnd, width " << width;
+
+        bitops::fusedCell(got.data(), init.data(), ds.data(),
+                          match.data(), mask.data(), nwords);
+        const WordVec cell =
+            andOf(andOf(andOf(shiftedLeftOne(init), ds),  // I & D
+                        shiftedLeftOne(ds)),              // & S
+                  orOf(shiftedLeftOne(match), mask));     // & M
+        EXPECT_EQ(cell, got) << "fusedCell, width " << width;
+
+        bitops::fillOnes(got.data(), nwords);
+        EXPECT_EQ(WordVec(static_cast<size_t>(nwords), ~uint64_t{0}),
+                  got)
+            << "fillOnes, width " << width;
     }
 }
 
-TEST(SimdKernels, FixedWidthTemplatesMatchDispatchedTable)
-{
-    Rng rng(0xf1f1);
-    const auto &k = bitops::scalarKernels();
-    const auto run = [&](auto nwords_tag) {
-        constexpr int NW = decltype(nwords_tag)::value;
-        const auto src = randomWords(rng, NW);
-        const auto mask = randomWords(rng, NW);
-        const auto ds = randomWords(rng, NW);
-        const auto match = randomWords(rng, NW);
-        const auto init = randomWords(rng, NW);
-
-        std::vector<uint64_t> want = init;
-        std::vector<uint64_t> got = init;
-        k.shiftLeftOne(want.data(), src.data(), NW);
-        bitops::fixed::shiftLeftOne<NW>(got.data(), src.data());
-        EXPECT_EQ(want, got) << "fixed::shiftLeftOne<" << NW << ">";
-
-        want = init;
-        got = init;
-        k.shiftLeftOneOr(want.data(), src.data(), mask.data(), NW);
-        bitops::fixed::shiftLeftOneOr<NW>(got.data(), src.data(),
-                                          mask.data());
-        EXPECT_EQ(want, got) << "fixed::shiftLeftOneOr<" << NW << ">";
-
-        want = init;
-        got = init;
-        k.shiftLeftOneOrAnd(want.data(), src.data(), mask.data(), NW);
-        bitops::fixed::shiftLeftOneOrAnd<NW>(got.data(), src.data(),
-                                             mask.data());
-        EXPECT_EQ(want, got) << "fixed::shiftLeftOneOrAnd<" << NW
-                             << ">";
-
-        want = init;
-        got = init;
-        k.andShiftAnd(want.data(), src.data(), NW);
-        bitops::fixed::andShiftAnd<NW>(got.data(), src.data());
-        EXPECT_EQ(want, got) << "fixed::andShiftAnd<" << NW << ">";
-
-        k.fusedCell(want.data(), init.data(), ds.data(), match.data(),
-                    mask.data(), NW);
-        bitops::fixed::fusedCell<NW>(got.data(), init.data(), ds.data(),
-                                     match.data(), mask.data());
-        EXPECT_EQ(want, got) << "fixed::fusedCell<" << NW << ">";
-    };
-    run(std::integral_constant<int, 1>{});
-    run(std::integral_constant<int, 2>{});
-    run(std::integral_constant<int, 3>{});
-    run(std::integral_constant<int, 8>{});
-}
-
-TEST(SimdKernels, ShiftingOpsAllowFullDstSrcAliasing)
+TEST(WordOps, ShiftingOpsAllowFullDstSrcAliasing)
 {
     // The documented contract: dst == src (full overlap) is legal for
-    // the in-place and shifting ops on every backend.
+    // the shifting ops.
     Rng rng(0xa11a5);
-    for (const Backend &backend : backends()) {
-        for (const int width : kEdgeWidths) {
-            const int nwords = bitops::wordsForWidth(width);
-            const auto src = randomWords(rng, nwords);
-            const auto mask = randomWords(rng, nwords);
+    for (const int width : kEdgeWidths) {
+        const int nwords = bitops::wordsForWidth(width);
+        const WordVec src = randomWords(rng, nwords);
+        const WordVec mask = randomWords(rng, nwords);
 
-            std::vector<uint64_t> want(static_cast<size_t>(nwords));
-            bitops::scalarKernels().shiftLeftOne(want.data(), src.data(),
-                                                 nwords);
-            std::vector<uint64_t> aliased = src;
-            backend.ops->shiftLeftOne(aliased.data(), aliased.data(),
-                                      nwords);
-            ASSERT_EQ(want, aliased)
-                << "aliased shiftLeftOne, backend " << backend.name
-                << ", width " << width;
+        WordVec want(static_cast<size_t>(nwords));
+        bitops::shiftLeftOneOr(want.data(), src.data(), mask.data(),
+                               nwords);
+        WordVec aliased = src;
+        bitops::shiftLeftOneOr(aliased.data(), aliased.data(),
+                               mask.data(), nwords);
+        ASSERT_EQ(want, aliased) << "aliased shiftLeftOneOr, width "
+                                 << width;
 
-            bitops::scalarKernels().shiftLeftOneOr(
-                want.data(), src.data(), mask.data(), nwords);
-            aliased = src;
-            backend.ops->shiftLeftOneOr(aliased.data(), aliased.data(),
-                                        mask.data(), nwords);
-            ASSERT_EQ(want, aliased)
-                << "aliased shiftLeftOneOr, backend " << backend.name
-                << ", width " << width;
+        want = src;
+        bitops::shiftLeftOneOrAnd(want.data(), src.data(), mask.data(),
+                                  nwords);
+        aliased = src;
+        bitops::shiftLeftOneOrAnd(aliased.data(), aliased.data(),
+                                  mask.data(), nwords);
+        ASSERT_EQ(want, aliased) << "aliased shiftLeftOneOrAnd, width "
+                                 << width;
 
-            std::vector<uint64_t> expect = src;
-            bitops::scalarKernels().andShiftAnd(expect.data(),
-                                                src.data(), nwords);
-            aliased = src;
-            backend.ops->andShiftAnd(aliased.data(), aliased.data(),
-                                     nwords);
-            ASSERT_EQ(expect, aliased)
-                << "aliased andShiftAnd, backend " << backend.name
-                << ", width " << width;
-        }
+        want = src;
+        bitops::andShiftAnd(want.data(), src.data(), nwords);
+        aliased = src;
+        bitops::andShiftAnd(aliased.data(), aliased.data(), nwords);
+        ASSERT_EQ(want, aliased) << "aliased andShiftAnd, width "
+                                 << width;
     }
 }
 
-/** Extracts lane @p w from a lane-major block of @p nwords groups. */
-std::vector<uint64_t>
-deinterleave(const std::vector<uint64_t> &lane_major, int nwords, int w)
+TEST(WordOps, CompileTimeWidthMatchesRuntimeWidth)
 {
-    std::vector<uint64_t> out(static_cast<size_t>(nwords));
+    Rng rng(0xf1f1);
+    const auto run = [&](auto nwords_tag) {
+        constexpr int NW = decltype(nwords_tag)::value;
+        constexpr bitops::Words<NW> fixed{};
+        const WordVec src = randomWords(rng, NW);
+        const WordVec mask = randomWords(rng, NW);
+        const WordVec ds = randomWords(rng, NW);
+        const WordVec match = randomWords(rng, NW);
+        const WordVec init = randomWords(rng, NW);
+
+        WordVec want = init;
+        WordVec got = init;
+        bitops::shiftLeftOneOr(want.data(), src.data(), mask.data(),
+                               NW);
+        bitops::shiftLeftOneOr(got.data(), src.data(), mask.data(),
+                               fixed);
+        EXPECT_EQ(want, got) << "shiftLeftOneOr<" << NW << ">";
+
+        want = init;
+        got = init;
+        bitops::shiftLeftOneOrAnd(want.data(), src.data(), mask.data(),
+                                  NW);
+        bitops::shiftLeftOneOrAnd(got.data(), src.data(), mask.data(),
+                                  fixed);
+        EXPECT_EQ(want, got) << "shiftLeftOneOrAnd<" << NW << ">";
+
+        want = init;
+        got = init;
+        bitops::andShiftAnd(want.data(), src.data(), NW);
+        bitops::andShiftAnd(got.data(), src.data(), fixed);
+        EXPECT_EQ(want, got) << "andShiftAnd<" << NW << ">";
+
+        bitops::fusedCell(want.data(), init.data(), ds.data(),
+                          match.data(), mask.data(), NW);
+        bitops::fusedCell(got.data(), init.data(), ds.data(),
+                          match.data(), mask.data(), fixed);
+        EXPECT_EQ(want, got) << "fusedCell<" << NW << ">";
+
+        want = init;
+        got = init;
+        bitops::fillOnes(want.data(), NW);
+        bitops::fillOnes(got.data(), fixed);
+        EXPECT_EQ(want, got) << "fillOnes<" << NW << ">";
+    };
+    run(bitops::Words<1>{});
+    run(bitops::Words<2>{});
+    run(bitops::Words<3>{});
+    run(bitops::Words<8>{});
+}
+
+/** Extracts lane @p w of row @p d from a level-major stack of
+ *  lane-major rows of @p nwords word groups. */
+WordVec
+laneRow(const WordVec &stack, int nwords, int d, int w)
+{
+    WordVec out(static_cast<size_t>(nwords));
     for (int j = 0; j < nwords; ++j)
         out[static_cast<size_t>(j)] =
-            lane_major[static_cast<size_t>(j) * bitops::kBatchLanes + w];
+            stack[(static_cast<size_t>(d) * nwords + j) * kLanes + w];
     return out;
 }
 
-TEST(BatchKernels, BatchOpsMatchScalarOnAllPerLaneWidths)
+TEST(BatchKernels, BatchColumnEqualsDeinterleavedPerWindowChain)
 {
-    Rng rng(0xba7c4);
-    const auto &scalar = bitops::scalarKernels();
-    constexpr int kLanes = bitops::kBatchLanes;
+    // batchColumn's definition, per lane: shiftLeftOneOr for level 0,
+    // then one fusedCell per level chained on the previous level's
+    // output. Every backend, every lane, widths 1-8 words (the >2-word
+    // columns run the scalar definition on every backend) and every
+    // level count up to a deep column. Carries must never cross lanes.
+    Rng rng(0xde1a7e);
     for (const Backend &backend : backends()) {
         for (int nwords = 1; nwords <= 8; ++nwords) {
-            const int total = nwords * kLanes;
-            const auto ins = randomWords(rng, total);
-            const auto ds = randomWords(rng, total);
-            const auto match = randomWords(rng, total);
-            const auto pm = randomWords(rng, total);
-
-            std::vector<uint64_t> want(static_cast<size_t>(total));
-            std::vector<uint64_t> got(static_cast<size_t>(total));
-            scalar.batchShiftLeftOneOr(want.data(), ins.data(),
-                                       pm.data(), nwords);
-            backend.ops->batchShiftLeftOneOr(got.data(), ins.data(),
-                                             pm.data(), nwords);
-            ASSERT_EQ(want, got) << "batchShiftLeftOneOr, backend "
-                                 << backend.name << ", nwords "
-                                 << nwords;
-
-            scalar.batchFusedCell(want.data(), ins.data(), ds.data(),
-                                  match.data(), pm.data(), nwords);
-            backend.ops->batchFusedCell(got.data(), ins.data(),
-                                        ds.data(), match.data(),
-                                        pm.data(), nwords);
-            ASSERT_EQ(want, got) << "batchFusedCell, backend "
-                                 << backend.name << ", nwords "
-                                 << nwords;
+            const int L = nwords * kLanes;
+            for (int levels = 1; levels <= 33; ++levels) {
+                const WordVec prev = randomWords(rng, levels * L);
+                const WordVec pm = randomWords(rng, L);
+                WordVec col(static_cast<size_t>(levels * L));
+                backend.ops->batchColumn(col.data(), prev.data(),
+                                         pm.data(), nwords, levels);
+                for (int w = 0; w < kLanes; ++w) {
+                    const WordVec lpm = laneRow(pm, nwords, 0, w);
+                    WordVec want(static_cast<size_t>(nwords));
+                    WordVec below = laneRow(prev, nwords, 0, w);
+                    bitops::shiftLeftOneOr(want.data(), below.data(),
+                                           lpm.data(), nwords);
+                    ASSERT_EQ(want, laneRow(col, nwords, 0, w))
+                        << backend.name << ", nwords " << nwords
+                        << ", levels " << levels << ", lane " << w
+                        << ", level 0";
+                    for (int d = 1; d < levels; ++d) {
+                        const WordVec ins = want;
+                        const WordVec same = laneRow(prev, nwords, d, w);
+                        bitops::fusedCell(want.data(), ins.data(),
+                                          below.data(), same.data(),
+                                          lpm.data(), nwords);
+                        ASSERT_EQ(want, laneRow(col, nwords, d, w))
+                            << backend.name << ", nwords " << nwords
+                            << ", levels " << levels << ", lane " << w
+                            << ", level " << d;
+                        below = same;
+                    }
+                }
+            }
         }
     }
 }
@@ -350,19 +305,16 @@ TEST(BatchKernels, BatchColumnMatchesScalarAcrossLevels)
 {
     Rng rng(0xc01a);
     const auto &scalar = bitops::scalarKernels();
-    constexpr int kLanes = bitops::kBatchLanes;
     // levels = k+1; 2 and 33 are the mapping path's common cases and a
     // deep column, 1 is the no-fusedCell degenerate.
     for (const Backend &backend : backends()) {
         for (int nwords = 1; nwords <= 8; ++nwords) {
             for (const int levels : {1, 2, 5, 33}) {
                 const int L = nwords * kLanes;
-                const auto prev = randomWords(rng, levels * L);
-                const auto pm = randomWords(rng, L);
-                std::vector<uint64_t> want(
-                    static_cast<size_t>(levels * L));
-                std::vector<uint64_t> got(
-                    static_cast<size_t>(levels * L));
+                const WordVec prev = randomWords(rng, levels * L);
+                const WordVec pm = randomWords(rng, L);
+                WordVec want(static_cast<size_t>(levels * L));
+                WordVec got(static_cast<size_t>(levels * L));
                 scalar.batchColumn(want.data(), prev.data(), pm.data(),
                                    nwords, levels);
                 backend.ops->batchColumn(got.data(), prev.data(),
@@ -370,114 +322,6 @@ TEST(BatchKernels, BatchColumnMatchesScalarAcrossLevels)
                 ASSERT_EQ(want, got)
                     << "batchColumn, backend " << backend.name
                     << ", nwords " << nwords << ", levels " << levels;
-            }
-        }
-    }
-}
-
-TEST(BatchKernels, BatchOpsEqualDeinterleavedPerWindowOps)
-{
-    // The lane-independence contract: each lane of a batched sweep
-    // equals the single-window scalar op run on that lane's extracted
-    // vectors — carries never cross lanes.
-    Rng rng(0xde1a7e);
-    const auto &scalar = bitops::scalarKernels();
-    constexpr int kLanes = bitops::kBatchLanes;
-    for (const Backend &backend : backends()) {
-        for (int nwords = 1; nwords <= 8; ++nwords) {
-            const int total = nwords * kLanes;
-            const auto ins = randomWords(rng, total);
-            const auto ds = randomWords(rng, total);
-            const auto match = randomWords(rng, total);
-            const auto pm = randomWords(rng, total);
-
-            std::vector<uint64_t> shifted(static_cast<size_t>(total));
-            std::vector<uint64_t> fused(static_cast<size_t>(total));
-            backend.ops->batchShiftLeftOneOr(shifted.data(), ins.data(),
-                                             pm.data(), nwords);
-            backend.ops->batchFusedCell(fused.data(), ins.data(),
-                                        ds.data(), match.data(),
-                                        pm.data(), nwords);
-            for (int w = 0; w < kLanes; ++w) {
-                const auto lins = deinterleave(ins, nwords, w);
-                const auto lds = deinterleave(ds, nwords, w);
-                const auto lmatch = deinterleave(match, nwords, w);
-                const auto lpm = deinterleave(pm, nwords, w);
-                std::vector<uint64_t> want(
-                    static_cast<size_t>(nwords));
-                scalar.shiftLeftOneOr(want.data(), lins.data(),
-                                      lpm.data(), nwords);
-                ASSERT_EQ(want, deinterleave(shifted, nwords, w))
-                    << "batchShiftLeftOneOr lane " << w << ", backend "
-                    << backend.name << ", nwords " << nwords;
-                scalar.fusedCell(want.data(), lins.data(), lds.data(),
-                                 lmatch.data(), lpm.data(), nwords);
-                ASSERT_EQ(want, deinterleave(fused, nwords, w))
-                    << "batchFusedCell lane " << w << ", backend "
-                    << backend.name << ", nwords " << nwords;
-            }
-        }
-    }
-}
-
-TEST(BatchKernels, BatchShiftLeftOneOrAllowsFullDstSrcAliasing)
-{
-    // The stream sweep writes each column over its own source row when
-    // the scheduler reuses a retired lane's storage; the documented
-    // contract is full dst == src overlap, same as shiftLeftOneOr.
-    Rng rng(0xa11b);
-    constexpr int kLanes = bitops::kBatchLanes;
-    for (const Backend &backend : backends()) {
-        for (int nwords = 1; nwords <= 8; ++nwords) {
-            const int total = nwords * kLanes;
-            const auto src = randomWords(rng, total);
-            const auto mask = randomWords(rng, total);
-            std::vector<uint64_t> want(static_cast<size_t>(total));
-            bitops::scalarKernels().batchShiftLeftOneOr(
-                want.data(), src.data(), mask.data(), nwords);
-            std::vector<uint64_t> aliased = src;
-            backend.ops->batchShiftLeftOneOr(aliased.data(),
-                                             aliased.data(),
-                                             mask.data(), nwords);
-            ASSERT_EQ(want, aliased)
-                << "aliased batchShiftLeftOneOr, backend "
-                << backend.name << ", nwords " << nwords;
-        }
-    }
-}
-
-TEST(BatchKernels, BatchColumnMatchesComposedDefinition)
-{
-    // batchColumn is defined as batchShiftLeftOneOr + a batchFusedCell
-    // per level with register-chained inputs; verify the definition on
-    // every backend (the fusion must not change a bit).
-    Rng rng(0xc0de);
-    constexpr int kLanes = bitops::kBatchLanes;
-    for (const Backend &backend : backends()) {
-        for (int nwords = 1; nwords <= 8; ++nwords) {
-            for (const int levels : {1, 2, 33}) {
-                const int L = nwords * kLanes;
-                const auto prev = randomWords(rng, levels * L);
-                const auto pm = randomWords(rng, L);
-                std::vector<uint64_t> composed(
-                    static_cast<size_t>(levels * L));
-                backend.ops->batchShiftLeftOneOr(composed.data(),
-                                                 prev.data(), pm.data(),
-                                                 nwords);
-                for (int d = 1; d < levels; ++d)
-                    backend.ops->batchFusedCell(
-                        composed.data() + d * L,
-                        composed.data() + (d - 1) * L,
-                        prev.data() + (d - 1) * L, prev.data() + d * L,
-                        pm.data(), nwords);
-                std::vector<uint64_t> fused(
-                    static_cast<size_t>(levels * L));
-                backend.ops->batchColumn(fused.data(), prev.data(),
-                                         pm.data(), nwords, levels);
-                ASSERT_EQ(composed, fused)
-                    << "batchColumn vs composed, backend "
-                    << backend.name << ", nwords " << nwords
-                    << ", levels " << levels;
             }
         }
     }

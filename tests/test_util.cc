@@ -1,7 +1,7 @@
 /**
  * @file
- * Unit and property tests for the util substrate: bitvectors, DNA
- * codes, packed sequences, the invertible hash, CIGARs and the RNG.
+ * Unit and property tests for the util substrate: DNA codes, packed
+ * sequences, the invertible hash, CIGARs and the RNG.
  */
 
 #include <gtest/gtest.h>
@@ -9,7 +9,6 @@
 #include <string>
 #include <vector>
 
-#include "src/util/bitvector.h"
 #include "src/util/check.h"
 #include "src/util/cigar.h"
 #include "src/util/dna.h"
@@ -23,91 +22,6 @@ namespace segram
 {
 namespace
 {
-
-TEST(Bitvector, ConstructsAllOnes)
-{
-    Bitvector bv(130);
-    EXPECT_EQ(bv.width(), 130);
-    EXPECT_EQ(bv.numWords(), 3);
-    for (int i = 0; i < 130; ++i)
-        EXPECT_TRUE(bv.test(i)) << i;
-    EXPECT_EQ(bv.countZeros(), 0);
-}
-
-TEST(Bitvector, SetAndTest)
-{
-    Bitvector bv(70);
-    bv.set(0, false);
-    bv.set(64, false);
-    bv.set(69, false);
-    EXPECT_FALSE(bv.test(0));
-    EXPECT_FALSE(bv.test(64));
-    EXPECT_FALSE(bv.test(69));
-    EXPECT_TRUE(bv.test(1));
-    EXPECT_EQ(bv.countZeros(), 3);
-}
-
-TEST(Bitvector, ShiftBringsZeroIntoBitZero)
-{
-    Bitvector bv(65);
-    bv.shiftLeftOne();
-    EXPECT_FALSE(bv.test(0));
-    for (int i = 1; i < 65; ++i)
-        EXPECT_TRUE(bv.test(i)) << i;
-}
-
-TEST(Bitvector, ShiftCarriesAcrossWords)
-{
-    Bitvector bv(128, false);
-    bv.set(63, true);
-    bv.shiftLeftOne();
-    EXPECT_FALSE(bv.test(63));
-    EXPECT_TRUE(bv.test(64));
-}
-
-TEST(Bitvector, AndOrSemantics)
-{
-    Bitvector a(8, false);
-    Bitvector b(8, false);
-    a.set(1, true);
-    a.set(2, true);
-    b.set(2, true);
-    b.set(3, true);
-    EXPECT_TRUE((a & b).test(2));
-    EXPECT_FALSE((a & b).test(1));
-    EXPECT_TRUE((a | b).test(1));
-    EXPECT_TRUE((a | b).test(3));
-    EXPECT_FALSE((a | b).test(0));
-}
-
-TEST(Bitvector, ToStringMsbFirst)
-{
-    Bitvector bv(4, false);
-    bv.set(3, true);
-    EXPECT_EQ(bv.toString(), "1000");
-}
-
-TEST(Bitvector, ShiftEquivalenceWithReference)
-{
-    // Property: multi-word shift matches a naive per-bit shift.
-    Rng rng(7);
-    for (int trial = 0; trial < 50; ++trial) {
-        const int width = 1 + static_cast<int>(rng.nextBelow(200));
-        Bitvector bv(width, false);
-        std::vector<bool> ref(width, false);
-        for (int i = 0; i < width; ++i) {
-            const bool bit = rng.nextBool(0.5);
-            bv.set(i, bit);
-            ref[i] = bit;
-        }
-        bv.shiftLeftOne();
-        for (int i = width - 1; i >= 1; --i)
-            ref[i] = ref[i - 1];
-        ref[0] = false;
-        for (int i = 0; i < width; ++i)
-            EXPECT_EQ(bv.test(i), ref[i]) << "width " << width << " bit " << i;
-    }
-}
 
 TEST(Dna, CodeRoundTrip)
 {

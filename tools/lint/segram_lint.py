@@ -28,6 +28,13 @@ errno-capture    In src/serve/ and src/io/, `errno` may only be
                  rejected: evaluation order of the other arguments
                  is unspecified, and building a message string can
                  clobber errno (malloc) before it is read.
+simd-confined    Vector ISA code lives only in src/util/bitops_simd.cc
+                 (the one lane-batched kernel, behind runtime
+                 dispatch). Everywhere else under src/: no
+                 <immintrin.h> / <arm_neon.h> include, no `_mm256_*`,
+                 `vld1q_*` or `vst1q_*` intrinsic, and no
+                 `__attribute__((target(...)))`. Per-window word ops
+                 are scalar, defined once in src/util/bitvector.h.
 
 Suppression: append `// segram-lint: allow(<rule>)` to the offending
 line (or put it on the line above).
@@ -56,6 +63,7 @@ from pathlib import Path
 HOT_PATH_PREFIXES = ("src/align/", "src/seed/")
 HOT_PATH_FILES = ("src/core/segram.cc",)
 ERRNO_SCOPE_PREFIXES = ("src/serve/", "src/io/")
+SIMD_HOME = "src/util/bitops_simd.cc"
 
 ALLOW_RE = re.compile(r"//\s*segram-lint:\s*allow\(([a-z-]+)\)")
 
@@ -63,7 +71,8 @@ RULE_ALLOC = "hot-path-alloc"
 RULE_ENDL = "no-endl"
 RULE_ASSERT = "bare-assert"
 RULE_ERRNO = "errno-capture"
-ALL_RULES = (RULE_ALLOC, RULE_ENDL, RULE_ASSERT, RULE_ERRNO)
+RULE_SIMD = "simd-confined"
+ALL_RULES = (RULE_ALLOC, RULE_ENDL, RULE_ASSERT, RULE_ERRNO, RULE_SIMD)
 
 ALLOC_RE = re.compile(
     r"(?<![A-Za-z0-9_])(?:"
@@ -77,6 +86,14 @@ ALLOC_RE = re.compile(
     r")"
 )
 ENDL_RE = re.compile(r"std\s*::\s*endl")
+# Matched on the raw line (a quoted include is a string literal), but
+# only where the stripped line is still a live #include directive.
+SIMD_INCLUDE_RE = re.compile(r"[<\"]\s*(?:immintrin|arm_neon)\.h\s*[>\"]")
+INCLUDE_RE = re.compile(r"^\s*#\s*include\b")
+SIMD_CODE_RE = re.compile(
+    r"(?<![A-Za-z0-9_])(?:_mm256_|vld1q_|vst1q_)[A-Za-z0-9_]"
+    r"|__attribute__\s*\(\(\s*target\s*\("
+)
 ASSERT_RE = re.compile(r"(?<![A-Za-z0-9_])assert\s*\(")
 ERRNO_RE = re.compile(r"(?<![A-Za-z0-9_])errno(?![A-Za-z0-9_])")
 ERRNO_OK_RES = (
@@ -148,8 +165,12 @@ def in_errno_scope(rel: str) -> bool:
     return rel.startswith(ERRNO_SCOPE_PREFIXES)
 
 
-def lint_text(rel: str, text: str, *, hot_path: bool,
-              errno_scope: bool) -> list[tuple[str, int, str, str]]:
+def in_simd_scope(rel: str) -> bool:
+    return rel.startswith("src/") and rel != SIMD_HOME
+
+
+def lint_text(rel: str, text: str, *, hot_path: bool, errno_scope: bool,
+              simd_scope: bool) -> list[tuple[str, int, str, str]]:
     """Returns (path, line, rule, message) tuples."""
     raw_lines = text.splitlines()
     allows = allowed_lines(raw_lines)
@@ -183,6 +204,13 @@ def lint_text(rel: str, text: str, *, hot_path: bool,
                 report(lineno, RULE_ERRNO,
                        "errno used outside reset/compare/capture; save "
                        "it first: const int saved_errno = errno;")
+        if simd_scope and (
+                SIMD_CODE_RE.search(line)
+                or (INCLUDE_RE.search(line)
+                    and SIMD_INCLUDE_RE.search(raw_lines[lineno - 1]))):
+            report(lineno, RULE_SIMD,
+                   f"vector intrinsics outside {SIMD_HOME}; per-window "
+                   "ops are scalar (src/util/bitvector.h)")
     return findings
 
 
@@ -193,7 +221,8 @@ def lint_file(root: Path, path: Path) -> list[tuple[str, int, str, str]]:
     except (OSError, UnicodeDecodeError) as error:
         return [(rel, 0, "io", f"unreadable: {error}")]
     return lint_text(rel, text, hot_path=is_hot_path(rel),
-                     errno_scope=in_errno_scope(rel))
+                     errno_scope=in_errno_scope(rel),
+                     simd_scope=in_simd_scope(rel))
 
 
 def collect_files(root: Path, compile_commands: Path | None) -> list[Path]:
@@ -223,11 +252,12 @@ def self_test() -> int:
     failures = []
 
     def expect(name: str, *, hot_path: bool, errno_scope: bool,
-               want: dict[str, int]) -> None:
+               simd_scope: bool, want: dict[str, int]) -> None:
         path = fixtures / name
         text = path.read_text(encoding="utf-8")
         findings = lint_text(name, text, hot_path=hot_path,
-                             errno_scope=errno_scope)
+                             errno_scope=errno_scope,
+                             simd_scope=simd_scope)
         got: dict[str, int] = {}
         for _, _, rule, _ in findings:
             got[rule] = got.get(rule, 0) + 1
@@ -235,10 +265,14 @@ def self_test() -> int:
             failures.append(f"{name}: expected {want}, got {got}")
 
     expect("hot_path_violations.cc", hot_path=True, errno_scope=False,
+           simd_scope=False,
            want={RULE_ALLOC: 4, RULE_ENDL: 1, RULE_ASSERT: 1})
     expect("errno_violations.cc", hot_path=False, errno_scope=True,
-           want={RULE_ERRNO: 2})
-    expect("clean.cc", hot_path=True, errno_scope=True, want={})
+           simd_scope=False, want={RULE_ERRNO: 2})
+    expect("simd_violations.cc", hot_path=False, errno_scope=False,
+           simd_scope=True, want={RULE_SIMD: 6})
+    expect("clean.cc", hot_path=True, errno_scope=True, simd_scope=True,
+           want={})
 
     if failures:
         for failure in failures:

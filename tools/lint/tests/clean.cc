@@ -1,5 +1,5 @@
-// Clean fixture for segram_lint --self-test: linted with BOTH the
-// hot-path and errno scopes forced on, and must produce zero
+// Clean fixture for segram_lint --self-test: linted with the
+// hot-path, errno and simd scopes forced on, and must produce zero
 // findings — every pattern here is the sanctioned spelling of
 // something the violating fixtures get wrong. Never compiled.
 #include <cerrno>
@@ -20,7 +20,8 @@ sanctioned_patterns(int fd)
     }
     SEGRAM_DCHECK(fd >= 0, "the sanctioned assert spelling");
     int stack_buffer[16] = {0}; // stack, not heap: fine in hot paths
-    // Prose about new Widget() allocations and std::endl is stripped.
+    // Prose about new Widget() allocations and std::endl is stripped,
+    // and so is prose about _mm256_and_si256 from <immintrin.h>.
     const char *prose = "new Widget() and std::endl and assert(x)";
     (void)prose;
     // The escape hatch: a justified allocation can be waved through.
