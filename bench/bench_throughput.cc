@@ -30,6 +30,7 @@
  * Like every bench, fully deterministic inputs (fixed seeds).
  */
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -109,6 +110,20 @@ using namespace segram;
  *  measured with this same counting allocator before the refactor. */
 constexpr double kPreWorkspaceAllocsPerRead = 11080.0;
 
+/**
+ * Repetitions of each side of a timing gate. The two sides of a gate
+ * run interleaved and the gate compares their medians, so one noisy
+ * moment on a shared host cannot decide it.
+ */
+constexpr int kGateReps = 5;
+
+double
+median(std::vector<double> values)
+{
+    std::sort(values.begin(), values.end());
+    return values[values.size() / 2];
+}
+
 /** Compact equality over everything a mapping run produces. */
 bool
 sameResults(const std::vector<core::MultiMapResult> &lhs,
@@ -185,15 +200,44 @@ main(int argc, char **argv)
     // Reference: the per-call-allocating mapRead loop (fresh workspace
     // every read) — what the pipeline did before the workspace
     // refactor. Also the determinism baseline for the batch runs.
+    // Against it, the workspace loop: the same computation out of one
+    // warm workspace. The allocation window covers only the workspace
+    // repetitions, after a warm-up pass, so buffer growth does not
+    // count — the gate measures the steady state.
     std::vector<core::MultiMapResult> reference;
-    const double fresh_sec = bench::timeSec([&] {
-        reference.reserve(reads.size());
-        for (const auto read : reads) {
-            core::MultiMapResult result;
-            static_cast<core::MapResult &>(result) = mapper.mapRead(read);
-            reference.push_back(std::move(result));
-        }
-    });
+    reference.reserve(reads.size());
+    core::MapWorkspace workspace;
+    for (const auto read : reads)
+        mapper.mapRead(read, nullptr, workspace);
+    std::vector<core::MultiMapResult> ws_results;
+    ws_results.reserve(reads.size());
+    std::vector<double> fresh_secs;
+    std::vector<double> ws_secs;
+    unsigned long long ws_allocs = 0;
+    for (int rep = 0; rep < kGateReps; ++rep) {
+        reference.clear();
+        fresh_secs.push_back(bench::timeSec([&] {
+            for (const auto read : reads) {
+                core::MultiMapResult result;
+                static_cast<core::MapResult &>(result) =
+                    mapper.mapRead(read);
+                reference.push_back(std::move(result));
+            }
+        }));
+        ws_results.clear();
+        const unsigned long long allocs_before = g_allocations.load();
+        ws_secs.push_back(bench::timeSec([&] {
+            for (const auto read : reads) {
+                core::MultiMapResult result;
+                static_cast<core::MapResult &>(result) =
+                    mapper.mapRead(read, nullptr, workspace);
+                ws_results.push_back(std::move(result));
+            }
+        }));
+        ws_allocs += g_allocations.load() - allocs_before;
+    }
+    const double fresh_sec = median(fresh_secs);
+    const double ws_sec = median(ws_secs);
     const double fresh_rps =
         static_cast<double>(reads.size()) / fresh_sec;
     // The driver names the chromosome of every hit and reports a miss
@@ -209,30 +253,11 @@ main(int argc, char **argv)
             }
         };
     as_driver_results(reference);
-
-    // Workspace loop: same computation out of one warm workspace. The
-    // allocation window starts after a warm-up pass so buffer growth
-    // does not count — the gate measures the steady state.
-    core::MapWorkspace workspace;
-    for (const auto read : reads)
-        mapper.mapRead(read, nullptr, workspace);
-    std::vector<core::MultiMapResult> ws_results;
-    ws_results.reserve(reads.size());
-    const unsigned long long allocs_before = g_allocations.load();
-    const double ws_sec = bench::timeSec([&] {
-        for (const auto read : reads) {
-            core::MultiMapResult result;
-            static_cast<core::MapResult &>(result) =
-                mapper.mapRead(read, nullptr, workspace);
-            ws_results.push_back(std::move(result));
-        }
-    });
-    const unsigned long long allocs_after = g_allocations.load();
     as_driver_results(ws_results);
     const double ws_rps = static_cast<double>(reads.size()) / ws_sec;
     const double allocs_per_read =
-        static_cast<double>(allocs_after - allocs_before) /
-        static_cast<double>(reads.size());
+        static_cast<double>(ws_allocs) /
+        static_cast<double>(kGateReps * reads.size());
 
     std::printf("%-14s %12s %14s %12s %10s\n", "config", "reads/s",
                 "bases/s", "speedup", "identical");
@@ -295,10 +320,43 @@ main(int argc, char **argv)
     // time goes (alignment dominates), attributed to the kernel
     // backend that produced it. Timed separately because collecting
     // PipelineStats adds clock reads to the hot path.
-    core::PipelineStats stage_stats;
-    for (const auto read : reads)
-        mapper.mapRead(read, &stage_stats, workspace);
-    const core::StageTimings &timings = stage_stats.timings;
+    //
+    // Against it, the batched-path stage breakdown and lane occupancy:
+    // the same reads through the single-thread lane-batched scheduler
+    // (ShardedBatchMapper -> SegramMapper::mapMany). The
+    // alignment-stage ratio of the two is the kernel-level speedup the
+    // cross-window batching claims, measured in-run on the same data;
+    // each stage time below is the median of interleaved repetitions.
+    std::vector<double> seed_secs, linearize_secs, align_secs;
+    std::vector<double> batched_seed_secs, batched_linearize_secs,
+        batched_align_secs;
+    core::PipelineStats batched_stats;
+    std::vector<core::MultiMapResult> batched_results;
+    const core::ShardedBatchMapper batched_mapper(ref, config);
+    for (int rep = 0; rep < kGateReps; ++rep) {
+        core::PipelineStats stage_stats;
+        for (const auto read : reads)
+            mapper.mapRead(read, &stage_stats, workspace);
+        seed_secs.push_back(stage_stats.timings.seedingSec);
+        linearize_secs.push_back(stage_stats.timings.linearizeSec);
+        align_secs.push_back(stage_stats.timings.alignSec);
+
+        batched_stats = core::PipelineStats{};
+        batched_results = batched_mapper.mapBatch(
+            std::span<const std::string_view>(reads), &batched_stats);
+        batched_seed_secs.push_back(batched_stats.timings.seedingSec);
+        batched_linearize_secs.push_back(
+            batched_stats.timings.linearizeSec);
+        batched_align_secs.push_back(batched_stats.timings.alignSec);
+    }
+    core::StageTimings timings;
+    timings.seedingSec = median(seed_secs);
+    timings.linearizeSec = median(linearize_secs);
+    timings.alignSec = median(align_secs);
+    core::StageTimings batched;
+    batched.seedingSec = median(batched_seed_secs);
+    batched.linearizeSec = median(batched_linearize_secs);
+    batched.alignSec = median(batched_align_secs);
     const double stage_total =
         timings.seedingSec + timings.linearizeSec + timings.alignSec;
     std::printf("\nstage breakdown (1T, backend %s): seeding %.3f s, "
@@ -309,20 +367,6 @@ main(int argc, char **argv)
                 stage_total > 0.0 ? 100.0 * timings.alignSec / stage_total
                                   : 0.0);
 
-    // Batched-path stage breakdown and lane occupancy: the same reads
-    // through the single-thread lane-batched scheduler
-    // (ShardedBatchMapper -> SegramMapper::mapMany). The
-    // alignment-stage ratio against the per-read loop above is the
-    // kernel-level speedup the cross-window batching claims, measured
-    // in-run on the same data.
-    core::PipelineStats batched_stats;
-    std::vector<core::MultiMapResult> batched_results;
-    {
-        const core::ShardedBatchMapper batch_mapper(ref, config);
-        batched_results = batch_mapper.mapBatch(
-            std::span<const std::string_view>(reads), &batched_stats);
-    }
-    const core::StageTimings &batched = batched_stats.timings;
     const double lane_occupancy =
         batched_stats.batchLaunches > 0
             ? static_cast<double>(batched_stats.batchedWindows) /

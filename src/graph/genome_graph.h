@@ -88,6 +88,17 @@ class GenomeGraph
     /** @return The sequence of node @p id as an ACGT string. */
     std::string nodeSeq(NodeId id) const;
 
+    /**
+     * @return A word-at-a-time reader over the 2-bit codes of node
+     *         @p id, straight from the character table (no decoding).
+     */
+    PackedSeq::Reader
+    nodeCodes(NodeId id) const
+    {
+        const NodeRecord &record = nodes_[id];
+        return chars_.reader(record.seqStart, record.seqLen);
+    }
+
     /** @return 2-bit code of character @p offset within node @p id. */
     uint8_t charAt(NodeId id, uint32_t offset) const;
 

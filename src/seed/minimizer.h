@@ -8,8 +8,9 @@
  * poly-A bias. Two sequences sharing an exact match of at least w+k-1
  * bases are guaranteed to share a minimizer.
  *
- * computeMinimizers() is the O(m) single-loop algorithm the MinSeed
- * accelerator implements (monotone wedge over the window);
+ * computeMinimizers() is the single-loop algorithm the MinSeed
+ * accelerator implements (a running window minimum over a ring of the
+ * last w hashes);
  * computeMinimizersNaive() is the quadratic textbook version kept as the
  * property-test reference.
  */
@@ -20,6 +21,8 @@
 #include <cstdint>
 #include <string_view>
 #include <vector>
+
+#include "src/util/packed_seq.h"
 
 namespace segram::seed
 {
@@ -39,6 +42,9 @@ struct SketchConfig
     int k = 15; ///< k-mer length (<= 31 so 2k bits fit a word)
     int w = 10; ///< window size in k-mers
 
+    /** @throws InputError if k is out of [1, 31] or w < 1. */
+    void validate() const;
+
     /** @return The 2k-bit mask of the k-mer hash domain. */
     uint64_t
     hashMask() const
@@ -51,8 +57,8 @@ struct SketchConfig
 /** Reusable working storage for computeMinimizers (buffer reuse). */
 struct MinimizerScratch
 {
-    /** Monotone-wedge backing store (head index advances in place). */
-    std::vector<Minimizer> wedge;
+    /** Hashes of the last w k-mers, stored twice (size 2w once warm). */
+    std::vector<uint64_t> window;
 };
 
 /**
@@ -68,11 +74,21 @@ std::vector<Minimizer> computeMinimizers(std::string_view seq,
                                          const SketchConfig &config);
 
 /**
- * Buffer-reuse variant: clears @p out and fills it in place; the wedge
- * lives in @p scratch. Zero heap allocations once the buffers are warm;
- * identical output to the returning overload.
+ * Buffer-reuse variant: clears @p out and fills it in place; the hash
+ * ring lives in @p scratch. Zero heap allocations once the buffers are
+ * warm; identical output to the returning overload.
  */
 void computeMinimizers(std::string_view seq, const SketchConfig &config,
+                       std::vector<Minimizer> &out,
+                       MinimizerScratch &scratch);
+
+/**
+ * Code-level variant for sequence already in a 2-bit character table
+ * (index construction): sketches the codes @p codes yields, with no
+ * decoding and no per-base validation. Same contract, same loop and
+ * the same output as the string overloads on the decoded sequence.
+ */
+void computeMinimizers(PackedSeq::Reader codes, const SketchConfig &config,
                        std::vector<Minimizer> &out,
                        MinimizerScratch &scratch);
 

@@ -127,7 +127,7 @@ struct SeedScratch
     };
 
     std::vector<Minimizer> minimizers;   ///< per-read minimizer list
-    MinimizerScratch sketch;             ///< wedge storage of the sketcher
+    MinimizerScratch sketch;             ///< hash ring of the sketcher
     std::vector<Locus> loci;             ///< loci of the current read
     std::vector<CandidateRegion> ranked; ///< regions in locus order
 };

@@ -12,6 +12,7 @@
 #include <string>
 #include <string_view>
 
+#include "src/util/check.h"
 #include "src/util/dna.h"
 #include "src/util/table_storage.h"
 
@@ -76,6 +77,11 @@ class PackedSeq
         return size_ == other.size_ && words_ == other.words_;
     }
 
+    class Reader;
+
+    /** @return A forward reader over the codes of [start, start+len). */
+    Reader reader(size_t start, size_t len) const;
+
   private:
     friend class io::PackCodec;
 
@@ -84,6 +90,58 @@ class PackedSeq
     util::TableStorage<uint64_t> words_;
     size_t size_ = 0;
 };
+
+/**
+ * Sequential reader of a PackedSeq range: one word load per 32 bases
+ * instead of a codeAt() call per base, for whole-table scans such as
+ * index construction. A word is loaded only when its first code is
+ * asked for, so the reader never touches a word past the range.
+ */
+class PackedSeq::Reader
+{
+  public:
+    /** @return Number of codes in the range. */
+    size_t size() const { return len_; }
+
+    /** @return The next code of the range (call at most size() times). */
+    uint8_t
+    next()
+    {
+        if (left_ == 0) {
+            bits_ = *word_++;
+            left_ = basesPerWord;
+        }
+        const auto code = static_cast<uint8_t>(bits_ & 0x3);
+        bits_ >>= 2;
+        --left_;
+        return code;
+    }
+
+  private:
+    friend class PackedSeq;
+
+    Reader(const uint64_t *word, int slot, size_t len)
+        : word_(word), len_(len)
+    {
+        if (slot != 0) {
+            bits_ = *word_++ >> (2 * slot);
+            left_ = basesPerWord - slot;
+        }
+    }
+
+    const uint64_t *word_;
+    uint64_t bits_ = 0;
+    int left_ = 0;
+    size_t len_;
+};
+
+inline PackedSeq::Reader
+PackedSeq::reader(size_t start, size_t len) const
+{
+    SEGRAM_DCHECK(start + len <= size_, "reader range out of range");
+    return {words_.data() + start / basesPerWord,
+            static_cast<int>(start % basesPerWord), len};
+}
 
 } // namespace segram
 

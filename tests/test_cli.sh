@@ -12,7 +12,10 @@
 #     runtime switch to the scalar kernel backend) at 1 and 4 threads;
 #  3. build a .segram pack with `segram index` and require that mapping
 #     from the pack produces byte-identical PAF to mapping from
-#     FASTA+VCF — the pack round-trip contract, end to end;
+#     FASTA+VCF — the pack round-trip contract, end to end; two index
+#     runs must write identical bytes whose cksum matches the committed
+#     tests/golden/index_smoke.cksum (captured before the linear-time
+#     index build);
 #  4. reject malformed numeric flags with clean errors (no silent
 #     acceptance, no crashes), including the pipeline knobs
 #     (--max-regions/--early-exit/--chain-filter/--max-chains/
@@ -37,6 +40,7 @@ set -e
 bin="$1"
 test -x "$bin" || { echo "usage: test_cli.sh <segram-binary>"; exit 2; }
 golden="$(dirname "$0")/golden/map_smoke.paf"
+pack_golden="$(dirname "$0")/golden/index_smoke.cksum"
 fixture="$(dirname "$0")/data/tiny_pangenome.gfa"
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
@@ -126,6 +130,21 @@ for threads in 1 2; do
     }
 done
 echo "cli pack round trip OK"
+
+# --- pack bytes: deterministic and unchanged by index-build rewrites ---
+"$bin" index "$tmp/d.fa" "$tmp/d.vcf" "$tmp/d1.segram" 2> /dev/null
+"$bin" index "$tmp/d.fa" "$tmp/d.vcf" "$tmp/d2.segram" 2> /dev/null
+cmp "$tmp/d1.segram" "$tmp/d2.segram" || {
+    echo "FAIL: two index runs on the same input wrote different packs"
+    exit 1
+}
+test -s "$pack_golden" || { echo "FAIL: missing golden $pack_golden"; exit 1; }
+if [ "$(cksum < "$tmp/d1.segram")" != "$(cat "$pack_golden")" ]; then
+    echo "FAIL: smoke pack checksum $(cksum < "$tmp/d1.segram")" \
+         "differs from golden $(cat "$pack_golden")"
+    exit 1
+fi
+echo "cli pack golden digest OK"
 
 # --bucket-bits must reach the index build: both sides of the
 # comparison use a non-default bucket count and must still agree.

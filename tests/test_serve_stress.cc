@@ -79,9 +79,15 @@ class ServeStressTest : public ::testing::Test
         read_config.revCompProbability = 0.25;
         const auto simulated =
             sim::simulateReads(dataset_->donor, read_config, rng);
-        for (size_t i = 0; i < simulated.size(); ++i)
-            reads_.push_back({"r" + std::to_string(i),
-                              simulated[i].seq});
+        for (size_t i = 0; i < simulated.size(); ++i) {
+            // Appending to a named string instead of `"r" + to_string(i)`
+            // avoids GCC 12's false -Wrestrict in libstdc++'s
+            // operator+(const char *, string &&), fatal under
+            // SEGRAM_WERROR.
+            std::string name = "r";
+            name += std::to_string(i);
+            reads_.push_back({std::move(name), simulated[i].seq});
+        }
     }
 
     void TearDown() override { std::filesystem::remove_all(dir_); }
