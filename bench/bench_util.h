@@ -18,11 +18,6 @@
 #include <string>
 #include <vector>
 
-#if defined(__linux__) || defined(__APPLE__)
-#include <sys/resource.h>
-#include <unistd.h>
-#endif
-
 #include "src/core/segram.h"
 #include "src/hw/cycle_model.h"
 #include "src/seed/minseed.h"
@@ -39,58 +34,6 @@ timeSec(const std::function<void()> &fn)
     fn();
     const auto stop = std::chrono::steady_clock::now();
     return std::chrono::duration<double>(stop - start).count();
-}
-
-/**
- * Lifetime peak resident set size of this process in bytes (getrusage
- * ru_maxrss); 0 when the platform does not report it. A high-water
- * mark: it never decreases, so it reflects the largest phase of the
- * whole run, not the current working set.
- */
-inline uint64_t
-peakRssBytes()
-{
-#if defined(__linux__) || defined(__APPLE__)
-    struct rusage usage
-    {
-    };
-    if (getrusage(RUSAGE_SELF, &usage) != 0)
-        return 0;
-#if defined(__APPLE__)
-    return static_cast<uint64_t>(usage.ru_maxrss); // bytes on macOS
-#else
-    return static_cast<uint64_t>(usage.ru_maxrss) * 1024; // KiB on Linux
-#endif
-#else
-    return 0;
-#endif
-}
-
-/**
- * Current resident set size in bytes (sampled from /proc/self/statm);
- * 0 when unavailable. Unlike peakRssBytes this *does* go down when
- * pages are dropped, so sampling it across a mapping run observes what
- * a memory budget actually holds resident.
- */
-inline uint64_t
-currentRssBytes()
-{
-#if defined(__linux__)
-    FILE *statm = std::fopen("/proc/self/statm", "r");
-    if (statm == nullptr)
-        return 0;
-    unsigned long long pages_total = 0;
-    unsigned long long pages_resident = 0;
-    const int fields =
-        std::fscanf(statm, "%llu %llu", &pages_total, &pages_resident);
-    std::fclose(statm);
-    if (fields != 2)
-        return 0;
-    return static_cast<uint64_t>(pages_resident) *
-           static_cast<uint64_t>(sysconf(_SC_PAGESIZE));
-#else
-    return 0;
-#endif
 }
 
 /** The canonical graph dataset used by the end-to-end benches. */

@@ -46,177 +46,71 @@ SegramMapper::SegramMapper(const PreprocessedReference &reference,
 {
 }
 
-const std::vector<seed::CandidateRegion> &
-SegramMapper::filterRegions(MapWorkspace &workspace,
-                            size_t read_len) const
+std::span<const seed::CandidateRegion>
+SegramMapper::candidateRegions(std::string_view read, MapWorkspace &workspace,
+                               seed::MinSeedStats *seeding_stats) const
 {
-    const std::vector<seed::CandidateRegion> &regions = workspace.regions;
-    if (!config_.enableChainFilter || regions.empty())
-        return regions;
-
-    // Group candidate seeds by diagonal (step 2 of Fig. 2) and keep the
-    // regions of the best chains only.
-    std::vector<seed::SeedHit> &hits = workspace.chainHits;
-    hits.clear();
-    hits.reserve(regions.size());
-    for (const auto &region : regions) {
-        const uint64_t seed_pos =
-            graph_.node(region.seed.node).linearOffset +
-            region.seed.offset;
-        hits.push_back({seed_pos, region.minimizerPos});
-    }
-    // The scratch overload sorts into workspace-owned buffers and
-    // returns chains that live in the workspace pool, so a warm
-    // chain-filter pass is allocation-free like the rest of the
-    // pipeline.
-    seed::ChainConfig chain_config = config_.chain;
-    if (chain_config.maxChains == 0)
-        chain_config.maxChains = config_.maxChains;
-    const auto chains =
-        seed::chainSeeds(hits, chain_config, workspace.chainScratch);
-
-    const double extend = 1.0 + config_.minseed.errorRate;
-    std::vector<seed::CandidateRegion> &filtered = workspace.filtered;
-    filtered.clear();
-    for (const auto &chain : chains) {
-        const seed::SeedHit &first = chain.hits.front();
-        const seed::SeedHit &last = chain.hits.back();
-        seed::CandidateRegion region;
-        const auto left = static_cast<uint64_t>(
-            std::llround(first.readPos * extend));
-        region.start =
-            first.refPos >= left ? first.refPos - left : 0;
-        region.end = std::min<uint64_t>(
-            last.refPos +
-                static_cast<uint64_t>(std::llround(
-                    (static_cast<double>(read_len) - last.readPos) *
-                    extend)),
-            graph_.totalSeqLen() - 1);
-        region.minimizerPos = first.readPos;
-        region.seed = {graph_.nodeAtLinear(first.refPos), 0};
-        region.support = static_cast<uint32_t>(chain.score);
-        filtered.push_back(region);
-    }
-    return filtered;
-}
-
-MapResult
-SegramMapper::mapOneStrand(std::string_view read, PipelineStats *stats,
-                           MapWorkspace &workspace) const
-{
-    PipelineStats local;
-    local.readsTotal = 1;
-
-    // Stage timing is reporting-only; skip the clock entirely when the
-    // caller keeps no stats.
-    const bool timed = stats != nullptr;
-    using clock = std::chrono::steady_clock;
-
-    const auto seed_start = timed ? clock::now() : clock::time_point{};
     minseed_.seedRead(read, workspace.regions, workspace.seed,
-                      &local.seeding);
-    const std::vector<seed::CandidateRegion> &all_regions =
-        filterRegions(workspace, read.size());
-    if (timed)
-        local.timings.seedingSec += secondsSince(seed_start);
-
-    size_t num_regions = all_regions.size();
-    if (config_.maxRegions != 0 && num_regions > config_.maxRegions)
-        num_regions = config_.maxRegions;
-
-    const int early_exit_edits =
-        config_.earlyExitFraction > 0.0
-            ? static_cast<int>(std::ceil(config_.earlyExitFraction *
-                                         config_.minseed.errorRate *
-                                         static_cast<double>(read.size())))
-            : -1;
-
-    MapResult best;
-    for (size_t r = 0; r < num_regions; ++r) {
-        const seed::CandidateRegion &region = all_regions[r];
-        ++best.regionsTried;
-        ++local.regionsAligned;
-        auto stage_start = timed ? clock::now() : clock::time_point{};
-        graph::linearizeRange(graph_, region.start, region.end,
-                              config_.hopLimit, workspace.linearization);
-        if (timed) {
-            local.timings.linearizeSec += secondsSince(stage_start);
-            stage_start = clock::now();
+                      seeding_stats);
+    std::span<const seed::CandidateRegion> regions = workspace.regions;
+    if (config_.enableChainFilter && !regions.empty()) {
+        // Group candidate seeds by diagonal (step 2 of Fig. 2) and keep
+        // the regions of the best chains only.
+        std::vector<seed::SeedHit> &hits = workspace.chainHits;
+        hits.clear();
+        hits.reserve(regions.size());
+        for (const auto &region : regions) {
+            const uint64_t seed_pos =
+                graph_.node(region.seed.node).linearOffset +
+                region.seed.offset;
+            hits.push_back({seed_pos, region.minimizerPos});
         }
-        // The alignment start is uncertain by up to 2*E*a within the
-        // region (Fig. 9); widen the first free-start window to cover
-        // the whole span.
-        align::BitAlignConfig bitalign = config_.bitalign;
-        bitalign.firstWindowExtraText +=
-            static_cast<int>(std::ceil(2.0 * config_.minseed.errorRate *
-                                       region.minimizerPos)) +
-            32;
-        align::GraphAlignment &alignment = workspace.alignment;
-        align::alignWindowed(workspace.linearization, read, bitalign,
-                             workspace.align, alignment);
-        if (timed)
-            local.timings.alignSec += secondsSince(stage_start);
-        if (!alignment.found)
-            continue;
-        ++local.alignmentsFound;
-        if (!best.mapped || alignment.editDistance < best.editDistance) {
-            best.mapped = true;
-            best.editDistance = alignment.editDistance;
-            best.linearStart = alignment.linearStart;
-            best.cigar = alignment.cigar;
+        // The scratch overload sorts into workspace-owned buffers and
+        // returns chains that live in the workspace pool, so a warm
+        // chain-filter pass is allocation-free.
+        seed::ChainConfig chain_config = config_.chain;
+        if (chain_config.maxChains == 0)
+            chain_config.maxChains = config_.maxChains;
+        const auto chains =
+            seed::chainSeeds(hits, chain_config, workspace.chainScratch);
+
+        const double extend = 1.0 + config_.minseed.errorRate;
+        std::vector<seed::CandidateRegion> &filtered = workspace.filtered;
+        filtered.clear();
+        for (const auto &chain : chains) {
+            const seed::SeedHit &first = chain.hits.front();
+            const seed::SeedHit &last = chain.hits.back();
+            seed::CandidateRegion region;
+            const auto left = static_cast<uint64_t>(
+                std::llround(first.readPos * extend));
+            region.start =
+                first.refPos >= left ? first.refPos - left : 0;
+            region.end = std::min<uint64_t>(
+                last.refPos +
+                    static_cast<uint64_t>(std::llround(
+                        (static_cast<double>(read.size()) -
+                         last.readPos) *
+                        extend)),
+                graph_.totalSeqLen() - 1);
+            region.minimizerPos = first.readPos;
+            region.seed = {graph_.nodeAtLinear(first.refPos), 0};
+            region.support = static_cast<uint32_t>(chain.score);
+            filtered.push_back(region);
         }
-        if (early_exit_edits >= 0 && best.mapped &&
-            best.editDistance <= early_exit_edits) {
-            break;
-        }
+        regions = filtered;
     }
-
-    if (best.mapped)
-        ++local.readsMapped;
-    if (stats != nullptr)
-        *stats += local;
-    return best;
+    if (config_.maxRegions != 0 && regions.size() > config_.maxRegions)
+        regions = regions.first(config_.maxRegions);
+    return regions;
 }
 
 MapResult
 SegramMapper::mapRead(std::string_view read, PipelineStats *stats) const
 {
     MapWorkspace workspace;
-    return mapRead(read, stats, workspace);
-}
-
-MapResult
-SegramMapper::mapRead(std::string_view read, PipelineStats *stats,
-                      MapWorkspace &workspace) const
-{
-    SEGRAM_CHECK(!read.empty(), "cannot map an empty read");
-    MapResult forward = mapOneStrand(read, stats, workspace);
-    if (!config_.tryReverseComplement)
-        return forward;
-
-    reverseComplement(read, workspace.rcBuffer);
-    MapResult reverse =
-        mapOneStrand(workspace.rcBuffer, stats, workspace);
-    reverse.reverseComplemented = true;
-    if (stats != nullptr) {
-        // Both strands were one logical read.
-        --stats->readsTotal;
-        if (forward.mapped && reverse.mapped)
-            --stats->readsMapped;
-    }
-    // The winner reports the work of both strands, not just its own.
-    const uint32_t total_tried =
-        forward.regionsTried + reverse.regionsTried;
-    MapResult best;
-    if (!reverse.mapped)
-        best = std::move(forward);
-    else if (!forward.mapped ||
-             reverse.editDistance < forward.editDistance)
-        best = std::move(reverse);
-    else
-        best = std::move(forward);
-    best.regionsTried = total_tried;
-    return best;
+    MapResult result;
+    mapMany({&read, 1}, {&result, 1}, stats, workspace);
+    return result;
 }
 
 void
@@ -252,8 +146,8 @@ SegramMapper::mapMany(std::span<const std::string_view> reads,
     }
 
     // A finished strand result either is the read's result (forward
-    // only) or is staged until its sibling strand arrives; the merge
-    // is mapRead's winner rule verbatim.
+    // only) or is staged until its sibling strand arrives. The merge
+    // keeps the lower edit distance; a tie goes to the forward strand.
     const auto strandDone = [&](StrandTask &task) {
         if (strands == 1) {
             results[task.readIndex] = std::move(task.best);
@@ -287,8 +181,9 @@ SegramMapper::mapMany(std::span<const std::string_view> reads,
 
     // Retires a task: delivers its strand result, frees its pool slot
     // and aborts any still-running speculative streams of its regions
-    // (work mapRead would never have done — their counters were never
-    // committed, so the totals stay exactly mapRead's).
+    // (work a one-region-at-a-time walk would never have done — their
+    // counters were never committed, so the totals stay exactly that
+    // walk's).
     const auto finishTask = [&](int ti) {
         StrandTask &task = workspace.tasks[static_cast<size_t>(ti)];
         task.finished = true;
@@ -303,9 +198,11 @@ SegramMapper::mapMany(std::span<const std::string_view> reads,
     };
 
     // Folds finished outcomes into the strand best strictly in region
-    // order — the order, best-update rule and early-exit check of
-    // mapOneStrand verbatim, so the strand result and the committed
-    // counters are bit-identical to the sequential path.
+    // order: a region replaces the best only with strictly fewer edits,
+    // and the strand stops at the first best within the early-exit
+    // threshold. The strand result and the committed counters are thus
+    // bit-identical to aligning the regions one at a time
+    // (mapReadSequential in tests/map_test_util.h is that oracle).
     const auto runCommits = [&](int ti) {
         StrandTask &task = workspace.tasks[static_cast<size_t>(ti)];
         while (!task.finished) {
@@ -352,7 +249,9 @@ SegramMapper::mapMany(std::span<const std::string_view> reads,
                               config_.hopLimit, lane.linearization);
         if (timed)
             local.timings.linearizeSec += secondsSince(stage_start);
-        // Same free-start widening as mapOneStrand (Fig. 9).
+        // The alignment start is uncertain by up to 2*E*a within the
+        // region (Fig. 9); widen the first free-start window to cover
+        // the whole span.
         align::BitAlignConfig bitalign = config_.bitalign;
         bitalign.firstWindowExtraText += static_cast<int>(std::ceil(
                                              2.0 *
@@ -405,24 +304,15 @@ SegramMapper::mapMany(std::span<const std::string_view> reads,
 
             const auto seed_start =
                 timed ? clock::now() : clock::time_point{};
-            minseed_.seedRead(task.read, workspace.regions,
-                              workspace.seed, &local.seeding);
-            const std::vector<seed::CandidateRegion> &all_regions =
-                filterRegions(workspace, task.read.size());
+            // Copy out: the candidates live in shared workspace scratch
+            // that the next activation overwrites while this strand is
+            // still in flight.
+            const std::span<const seed::CandidateRegion> regions =
+                candidateRegions(task.read, workspace, &local.seeding);
             if (timed)
                 local.timings.seedingSec += secondsSince(seed_start);
-
-            size_t num_regions = all_regions.size();
-            if (config_.maxRegions != 0 &&
-                num_regions > config_.maxRegions)
-                num_regions = config_.maxRegions;
-            // Copy out: workspace.regions is shared scratch and the
-            // next activation overwrites it while this strand is still
-            // in flight.
-            task.regions.assign(
-                all_regions.begin(),
-                all_regions.begin() +
-                    static_cast<std::ptrdiff_t>(num_regions));
+            task.regions.assign(regions.begin(), regions.end());
+            const size_t num_regions = regions.size();
             task.outcomes.resize(num_regions);
             for (RegionOutcome &outcome : task.outcomes)
                 outcome.state = 0;

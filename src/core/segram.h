@@ -2,8 +2,9 @@
  * @file
  * SegramMapper: the end-to-end SeGraM pipeline (Fig. 4) as a library.
  *
- * One mapper binds a genome graph and its minimizer index; mapRead()
- * then runs the full per-read flow the accelerator implements:
+ * One mapper binds a genome graph and its minimizer index; mapMany()
+ * (and its one-read form mapRead()) then runs the full per-read flow
+ * the accelerator implements:
  * MinSeed (minimizers -> frequency filter -> seeds -> candidate
  * subgraphs) followed by BitAlign on every candidate region (exact for
  * reads that fit one window, divide-and-conquer otherwise), returning
@@ -112,12 +113,11 @@ class SegramMapper : public MappingEngine
                  const SegramConfig &config = {});
 
     /**
-     * Maps one read end to end, one candidate region at a time: the
-     * per-read reference the lane-batched mapMany is checked against.
-     * Safe to call concurrently: the graph and index are shared
-     * read-only and all per-read state is local. This convenience
-     * overload allocates a fresh workspace per call; hot loops should
-     * hold a MapWorkspace and use the overload below.
+     * Maps one read end to end: a one-read mapMany() out of a fresh
+     * workspace, so it returns exactly what the batch path returns for
+     * this read. Safe to call concurrently: the graph and index are
+     * shared read-only and all per-read state is local. Hot loops
+     * should hold a MapWorkspace and call mapMany() instead.
      *
      * @param read       Query read (ACGT, non-empty).
      * @param[out] stats Optional counter accumulator.
@@ -126,15 +126,19 @@ class SegramMapper : public MappingEngine
                       PipelineStats *stats = nullptr) const;
 
     /**
-     * Workspace-borrowing variant: every scratch buffer of the
-     * pipeline (candidate regions, RC buffer, linearization, bitvector
-     * slab, CIGAR scratch) lives in @p workspace, so a warm workspace
-     * makes the whole per-read flow allocation-free. Results are
-     * bit-identical to the convenience overload. @p workspace must not
-     * be shared between concurrent calls.
+     * The candidate regions one strand of a read aligns, in the order
+     * it aligns them: MinSeed's regions (best-supported loci first),
+     * reduced to the best chains' regions when the chain filter is on,
+     * then cut to config().maxRegions. The span points into
+     * @p workspace and stays valid until its next use.
+     *
+     * @param read                Query read (one orientation).
+     * @param workspace           Scratch the regions are built in.
+     * @param[out] seeding_stats  Optional MinSeed counter accumulator.
      */
-    MapResult mapRead(std::string_view read, PipelineStats *stats,
-                      MapWorkspace &workspace) const;
+    std::span<const seed::CandidateRegion>
+    candidateRegions(std::string_view read, MapWorkspace &workspace,
+                     seed::MinSeedStats *seeding_stats) const;
 
     /**
      * Lane-batched group mapper: maps reads[i] -> results[i] (spans
@@ -150,8 +154,9 @@ class SegramMapper : public MappingEngine
      * order and speculative work past an early exit is discarded, so
      * every per-strand decision (region order, best-update
      * tie-breaking, early exit, strand merge) and every committed
-     * counter is bit-identical to a mapRead loop — only the window
-     * computations are co-scheduled.
+     * counter is bit-identical to aligning each strand's candidate
+     * regions one at a time — only the window computations are
+     * co-scheduled.
      */
     void mapMany(std::span<const std::string_view> reads,
                  std::span<MapResult> results, PipelineStats *stats,
@@ -162,18 +167,6 @@ class SegramMapper : public MappingEngine
     const graph::GenomeGraph &graph() const { return graph_; }
 
   private:
-    /** Maps one orientation of a read (no reverse-complement retry). */
-    MapResult mapOneStrand(std::string_view read, PipelineStats *stats,
-                           MapWorkspace &workspace) const;
-
-    /**
-     * Applies the optional chaining filter to workspace.regions.
-     * @return The regions to align: workspace.regions itself when the
-     *         filter is off, workspace.filtered otherwise.
-     */
-    const std::vector<seed::CandidateRegion> &
-    filterRegions(MapWorkspace &workspace, size_t read_len) const;
-
     const graph::GenomeGraph &graph_;
     const index::MinimizerIndex &index_;
     SegramConfig config_;

@@ -5,11 +5,13 @@
  * SeGraM's hardware streams every read through MinSeed -> BitAlign with
  * fixed on-chip scratchpads and zero dynamic allocation. This is the
  * software equivalent: one MapWorkspace bundles every reusable buffer
- * the per-read pipeline needs — the candidate-region vector MinSeed
- * fills, the reverse-complement buffer, the region linearization, the
- * flat bitvector slab + pattern masks BitAlign computes out of, and the
- * CIGAR/traceback scratch — so a warm worker maps read after read
- * without touching the heap.
+ * the per-read pipeline needs — the candidate-region vectors MinSeed
+ * and the chain filter fill, the strand-task pool with its
+ * reverse-complement buffers, and per lane the region linearization,
+ * window stream and CIGAR scratch, plus the bitvector slabs BitAlign
+ * computes out of — so a warm worker reuses its buffers read after
+ * read. What heap traffic remains per read is bounded by
+ * tests/test_alloc.cc.
  *
  * Ownership model: ShardedBatchMapper owns one workspace per pool
  * worker and lends it to the shard engine of every work item via
@@ -42,8 +44,8 @@ namespace segram::core
  * One candidate region's buffered outcome in the speculative region
  * scheduler. Regions of a strand may *finish* out of order (they run
  * in parallel lanes), but their results fold into the strand best
- * strictly in region order — the order mapRead tries them — so a
- * late-arriving earlier region gates the commit of buffered later
+ * strictly in region order — the order candidateRegions lists them —
+ * so a late-arriving earlier region gates the commit of buffered later
  * ones, and an early exit discards everything past the exit region.
  */
 struct RegionOutcome
@@ -106,12 +108,10 @@ struct MapWorkspace
     seed::ChainScratch chainScratch;              ///< chainSeeds buffers
 
     // --- read preparation ---
-    std::string rcBuffer; ///< reverse-complement buffer (per-read paths)
+    std::string rcBuffer; ///< reverse-complement buffer (baseline shards)
 
     // --- alignment ---
-    graph::LinearizedGraph linearization; ///< candidate-region subgraph
-    align::AlignScratch align;            ///< bitvector slab + PM masks
-    align::GraphAlignment alignment;      ///< per-region result (reused)
+    align::AlignScratch align; ///< per-window bitvector slab + PM masks
 
     // --- lane-batched scheduling (SegramMapper::mapMany) ---
     align::WindowBatchScratch batch;  ///< lane-major bitvector streams

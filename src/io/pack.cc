@@ -149,11 +149,8 @@ PackCodec::makeIndex(const PackChromMeta &meta,
 // -------------------------------------------------------------- writer
 
 void
-writePack(const std::string &path, std::span<const PackWriteEntry> entries,
-          uint32_t version)
+writePack(const std::string &path, std::span<const PackWriteEntry> entries)
 {
-    SEGRAM_CHECK(version >= kPackMinVersion && version <= kPackVersion,
-                 "unsupported pack version " + std::to_string(version));
     SEGRAM_CHECK(!entries.empty(), "cannot write a pack with no chromosomes");
     for (const auto &entry : entries) {
         SEGRAM_CHECK(entry.graph != nullptr && entry.index != nullptr,
@@ -207,11 +204,8 @@ writePack(const std::string &path, std::span<const PackWriteEntry> entries,
     // computed below, so plan it with a placeholder payload now and
     // fill the records in before checksumming.
     std::vector<PackShardInfo> shard_infos(entries.size());
-    if (version >= 2) {
-        plans.push_back(
-            {PackSectionKind::ShardTable, kPackGlobalSection,
-             asBytes(std::span<const PackShardInfo>(shard_infos))});
-    }
+    plans.push_back({PackSectionKind::ShardTable, kPackGlobalSection,
+                     asBytes(std::span<const PackShardInfo>(shard_infos))});
     const size_t global_sections = plans.size();
     for (size_t i = 0; i < entries.size(); ++i) {
         const auto chrom = static_cast<uint32_t>(i);
@@ -264,7 +258,7 @@ writePack(const std::string &path, std::span<const PackWriteEntry> entries,
 
     PackHeader header = {};
     std::memcpy(header.magic, kPackMagic, sizeof(kPackMagic));
-    header.version = version;
+    header.version = kPackVersion;
     header.endianTag = kPackEndianTag;
     header.fileBytes = cursor;
     header.sectionCount = static_cast<uint32_t>(plans.size());

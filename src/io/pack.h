@@ -20,7 +20,8 @@
  *   payloads              each 64-byte aligned, zero-padded between
  *
  * Global sections: one ChromMeta (fixed 96 B records, one per
- * chromosome) and one Names (concatenated chromosome names). Per
+ * chromosome), one Names (concatenated chromosome names) and one
+ * ShardTable (per-chromosome byte extents; absent from v1 packs). Per
  * chromosome, six table sections mirroring the paper's memory layout:
  * NodeTable, CharTable, EdgeTable (Fig. 5) and BucketTable,
  * MinimizerTable, LocationTable (Fig. 6).
@@ -173,17 +174,15 @@ struct PackWriteEntry
 };
 
 /**
- * Writes @p entries as a `.segram` pack at @p path (overwriting).
+ * Writes @p entries as a kPackVersion `.segram` pack at @p path
+ * (overwriting). Version-1 packs are only read, never written; the
+ * loader's back-compat test uses a committed v1 fixture.
  *
- * @param version Pack version to emit: kPackVersion (default) or 1 for
- *        the legacy monolithic layout without a ShardTable (kept so
- *        backward-compatibility of the loader stays testable).
- * @throws InputError on I/O failure, null/empty entries, a graph that
- *         is not topologically sorted, or an unsupported version.
+ * @throws InputError on I/O failure, null/empty entries, or a graph
+ *         that is not topologically sorted.
  */
 void writePack(const std::string &path,
-               std::span<const PackWriteEntry> entries,
-               uint32_t version = kPackVersion);
+               std::span<const PackWriteEntry> entries);
 
 /**
  * Pack-loading knobs. Validation is not one of them: every load verifies

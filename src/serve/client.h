@@ -1,8 +1,8 @@
 /**
  * @file
  * ServeClient: the client side of the line protocol, shared by
- * `segram client`, the serve integration tests and bench_serve — one
- * implementation of framing, so a protocol change cannot silently
+ * `segram client`, the serve integration tests and perfbench's
+ * served workloads — one implementation of framing, so a protocol change cannot silently
  * fork between the daemon's consumers.
  */
 

@@ -66,10 +66,11 @@ struct MultiDatasetConfig
 
 /**
  * One fully assembled chromosome of a multi-chromosome dataset. No
- * minimizer index: the scale-harness consumers (`segram simulate`,
- * bench_scale) either write FASTA/VCF for `segram index` to process or
- * build indexes with their own IndexConfig — baking one in here would
- * double the build time of a 100 Mbp genome for nothing.
+ * minimizer index: its consumers (`segram simulate`, perfbench's
+ * workloads, the occurrence-cap test) either write FASTA/VCF for
+ * `segram index` to process or build indexes with their own
+ * IndexConfig — baking one in here would double the build time of a
+ * 40 Mbp genome for nothing.
  */
 struct ChromosomeDataset
 {

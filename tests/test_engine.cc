@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
 #include <mutex>
@@ -139,11 +140,47 @@ makeReads(const sim::Dataset &dataset, int count, uint64_t seed)
 
 // ---------------------------------------------------------- MapWorkspace
 
+/**
+ * Maps @p reads through one warm workspace, one mapMany call of
+ * @p batch reads at a time.
+ */
+std::vector<MultiMapResult>
+mapWarm(const SegramMapper &mapper, const std::vector<std::string> &reads,
+        size_t batch, PipelineStats *stats, MapWorkspace &workspace)
+{
+    const auto views = viewsOf(reads);
+    std::vector<MapResult> results(reads.size());
+    for (size_t begin = 0; begin < reads.size(); begin += batch) {
+        const size_t count = std::min(batch, reads.size() - begin);
+        mapper.mapMany(
+            std::span<const std::string_view>(views).subspan(begin, count),
+            std::span<MapResult>(results).subspan(begin, count), stats,
+            workspace);
+    }
+    std::vector<MultiMapResult> out(reads.size());
+    for (size_t i = 0; i < reads.size(); ++i)
+        static_cast<MapResult &>(out[i]) = std::move(results[i]);
+    return out;
+}
+
+/** mapReadSequential over @p reads, one fresh workspace per read. */
+std::vector<MultiMapResult>
+mapOracle(const SegramMapper &mapper, const std::vector<std::string> &reads,
+          PipelineStats *stats)
+{
+    std::vector<MultiMapResult> out(reads.size());
+    for (size_t i = 0; i < reads.size(); ++i)
+        static_cast<MapResult &>(out[i]) =
+            mapReadSequential(mapper, reads[i], stats);
+    return out;
+}
+
 TEST(MapWorkspace, WarmWorkspaceMatchesFreshCalls)
 {
     // One workspace reused across a mixed workload (forward, RC and
-    // junk reads) must produce exactly what per-call workspaces
-    // produce — counters included. This is the reuse contract every
+    // junk reads) in batches of every shape must produce exactly what
+    // the sequential oracle produces with a fresh workspace per read —
+    // counters included. This is the reuse contract every
     // ShardedBatchMapper worker relies on.
     const auto dataset = sim::makeDataset(smallConfig(301));
     SegramConfig config;
@@ -151,22 +188,15 @@ TEST(MapWorkspace, WarmWorkspaceMatchesFreshCalls)
     const SegramMapper mapper(dataset.graph, dataset.index, config);
     const auto reads = makeReads(dataset, 40, 302);
 
-    MapWorkspace workspace;
     PipelineStats fresh_stats;
-    PipelineStats warm_stats;
-    std::vector<MultiMapResult> fresh;
-    std::vector<MultiMapResult> warm;
-    for (const auto &read : reads) {
-        MultiMapResult a;
-        static_cast<MapResult &>(a) = mapper.mapRead(read, &fresh_stats);
-        fresh.push_back(std::move(a));
-        MultiMapResult b;
-        static_cast<MapResult &>(b) =
-            mapper.mapRead(read, &warm_stats, workspace);
-        warm.push_back(std::move(b));
+    const auto fresh = mapOracle(mapper, reads, &fresh_stats);
+    MapWorkspace workspace;
+    for (const size_t batch : {size_t{1}, size_t{7}, reads.size()}) {
+        PipelineStats warm_stats;
+        expectSameResults(
+            fresh, mapWarm(mapper, reads, batch, &warm_stats, workspace));
+        expectSameStats(fresh_stats, warm_stats, /*lane_counters=*/false);
     }
-    expectSameResults(fresh, warm);
-    expectSameStats(fresh_stats, warm_stats);
 }
 
 TEST(MapWorkspace, ChainFilterPathReusesBuffers)
@@ -180,19 +210,11 @@ TEST(MapWorkspace, ChainFilterPathReusesBuffers)
     const SegramMapper mapper(dataset.graph, dataset.index, config);
     const auto reads = makeReads(dataset, 25, 304);
 
+    const auto fresh = mapOracle(mapper, reads, nullptr);
     MapWorkspace workspace;
-    std::vector<MultiMapResult> fresh;
-    std::vector<MultiMapResult> warm;
-    for (const auto &read : reads) {
-        MultiMapResult a;
-        static_cast<MapResult &>(a) = mapper.mapRead(read, nullptr);
-        fresh.push_back(std::move(a));
-        MultiMapResult b;
-        static_cast<MapResult &>(b) =
-            mapper.mapRead(read, nullptr, workspace);
-        warm.push_back(std::move(b));
-    }
-    expectSameResults(fresh, warm);
+    for (const size_t batch : {size_t{1}, size_t{4}, reads.size()})
+        expectSameResults(
+            fresh, mapWarm(mapper, reads, batch, nullptr, workspace));
 }
 
 TEST(MapWorkspace, StageTimingsAccumulateWhenStatsRequested)
@@ -202,8 +224,7 @@ TEST(MapWorkspace, StageTimingsAccumulateWhenStatsRequested)
     const auto reads = makeReads(dataset, 10, 306);
     PipelineStats stats;
     MapWorkspace workspace;
-    for (const auto &read : reads)
-        mapper.mapRead(read, &stats, workspace);
+    mapWarm(mapper, reads, 1, &stats, workspace);
     // Reads were seeded, so the seeding stage must have taken >= 0 time
     // and regions were aligned, so alignment time must be positive.
     EXPECT_GE(stats.timings.seedingSec, 0.0);
@@ -272,7 +293,7 @@ TEST(ShardedBatchMapper, FourThreadsMatchOneThreadExactly)
     EXPECT_EQ(stats4.readsTotal, reads.size());
     EXPECT_GT(stats4.batchLaunches, 0u);
 
-    // Both match the per-read mapRead loop.
+    // Both match the sequential oracle.
     PipelineStats stats_loop;
     expectSameResults(results4,
                       mapReadMajor(reference, config, reads, &stats_loop));
@@ -505,10 +526,11 @@ TEST(SegramMapper, MapManySchedulerMatchesMapReadLoop)
 {
     // The lane-batched region-stream scheduler — including its
     // speculative starts past undecided early-exit checks — must
-    // deliver exactly what a sequential mapRead loop delivers: every
+    // deliver exactly what the sequential oracle delivers: every
     // result field and every counter, for every config that changes
-    // the per-strand control flow (early exit, RC retry, region cap)
-    // and for batch sizes that leave lanes idle or ragged.
+    // the per-strand control flow (early exit, RC retry, region cap,
+    // chain filter) and for batch sizes that leave lanes idle or
+    // ragged. mapRead is the one-read batch and must agree too.
     const auto dataset = sim::makeDataset(smallConfig(120));
     const auto all_reads = makeReads(dataset, 40, 121);
 
@@ -521,7 +543,13 @@ TEST(SegramMapper, MapManySchedulerMatchesMapReadLoop)
     SegramConfig capped;
     capped.maxRegions = 2;
     capped.tryReverseComplement = true;
-    const SegramConfig configs[] = {plain, early, early_rc, capped};
+    SegramConfig chained;
+    chained.enableChainFilter = true;
+    chained.maxChains = 3;
+    chained.earlyExitFraction = 1.0;
+    chained.tryReverseComplement = true;
+    const SegramConfig configs[] = {plain, early, early_rc, capped,
+                                    chained};
 
     for (size_t c = 0; c < std::size(configs); ++c) {
         const SegramMapper mapper(dataset.graph, dataset.index,
@@ -532,32 +560,19 @@ TEST(SegramMapper, MapManySchedulerMatchesMapReadLoop)
             const std::vector<std::string> reads(
                 all_reads.begin(),
                 all_reads.begin() + static_cast<ptrdiff_t>(count));
-            const auto views = viewsOf(reads);
-            std::vector<MapResult> batched(count);
+            SCOPED_TRACE(::testing::Message()
+                         << "config " << c << ", count " << count);
             PipelineStats batched_stats;
-            mapper.mapMany(std::span<const std::string_view>(views),
-                           batched, &batched_stats, workspace);
-
+            const auto batched =
+                mapWarm(mapper, reads, count, &batched_stats, workspace);
             PipelineStats loop_stats;
-            for (size_t i = 0; i < count; ++i) {
-                const MapResult solo =
-                    mapper.mapRead(reads[i], &loop_stats);
-                const MapResult &got = batched[i];
-                ASSERT_EQ(solo.mapped, got.mapped)
-                    << "config " << c << ", count " << count
-                    << ", read " << i;
-                EXPECT_EQ(solo.linearStart, got.linearStart)
-                    << "config " << c << ", read " << i;
-                EXPECT_EQ(solo.editDistance, got.editDistance)
-                    << "config " << c << ", read " << i;
-                EXPECT_EQ(solo.regionsTried, got.regionsTried)
-                    << "config " << c << ", read " << i;
-                EXPECT_EQ(solo.reverseComplemented,
-                          got.reverseComplemented)
-                    << "config " << c << ", read " << i;
-                EXPECT_EQ(solo.cigar.toString(), got.cigar.toString())
-                    << "config " << c << ", read " << i;
-            }
+            expectSameResults(mapOracle(mapper, reads, &loop_stats),
+                              batched);
+            std::vector<MultiMapResult> one_read(count);
+            for (size_t i = 0; i < count; ++i)
+                static_cast<MapResult &>(one_read[i]) =
+                    mapper.mapRead(reads[i]);
+            expectSameResults(one_read, batched);
             expectSameStats(loop_stats, batched_stats,
                             /*lane_counters=*/false);
             EXPECT_EQ(batched_stats.readsTotal, count)

@@ -110,61 +110,7 @@ TEST_F(PackTest, GraphAndIndexRoundTripExactly)
     const auto loaded =
         core::PreprocessedReference::load(path("ref.segram"));
     ASSERT_TRUE(loaded.fromPack());
-    ASSERT_EQ(loaded.numChromosomes(), fresh.numChromosomes());
-
-    for (size_t c = 0; c < fresh.numChromosomes(); ++c) {
-        EXPECT_EQ(loaded.name(c), fresh.name(c));
-        const auto &got = loaded.graph(c);
-        const auto &want = fresh.graph(c);
-        ASSERT_EQ(got.numNodes(), want.numNodes());
-        ASSERT_EQ(got.numEdges(), want.numEdges());
-        ASSERT_EQ(got.totalSeqLen(), want.totalSeqLen());
-        EXPECT_TRUE(got.isTopologicallySorted());
-        for (graph::NodeId id = 0; id < want.numNodes(); ++id) {
-            EXPECT_EQ(got.nodeSeq(id), want.nodeSeq(id));
-            const auto &got_node = got.node(id);
-            const auto &want_node = want.node(id);
-            EXPECT_EQ(got_node.seqStart, want_node.seqStart);
-            EXPECT_EQ(got_node.linearOffset, want_node.linearOffset);
-            EXPECT_EQ(got_node.refPos, want_node.refPos);
-            EXPECT_EQ(got_node.isAlt, want_node.isAlt);
-            ASSERT_EQ(got.successors(id).size(),
-                      want.successors(id).size());
-            for (size_t e = 0; e < want.successors(id).size(); ++e)
-                EXPECT_EQ(got.successors(id)[e], want.successors(id)[e]);
-        }
-
-        const auto &got_idx = loaded.index(c);
-        const auto &want_idx = fresh.index(c);
-        EXPECT_EQ(got_idx.bucketBits(), want_idx.bucketBits());
-        EXPECT_EQ(got_idx.sketch().k, want_idx.sketch().k);
-        EXPECT_EQ(got_idx.sketch().w, want_idx.sketch().w);
-        EXPECT_EQ(got_idx.frequencyThreshold(),
-                  want_idx.frequencyThreshold());
-        const auto &got_stats = got_idx.stats();
-        const auto &want_stats = want_idx.stats();
-        EXPECT_EQ(got_stats.numDistinctMinimizers,
-                  want_stats.numDistinctMinimizers);
-        EXPECT_EQ(got_stats.numLocations, want_stats.numLocations);
-        EXPECT_EQ(got_stats.maxMinimizersPerBucket,
-                  want_stats.maxMinimizersPerBucket);
-        EXPECT_EQ(got_stats.maxLocationsPerMinimizer,
-                  want_stats.maxLocationsPerMinimizer);
-        EXPECT_EQ(got_stats.totalBytes(), want_stats.totalBytes());
-
-        // Every indexed minimizer answers identically through the
-        // loaded tables (frequency + full location lists).
-        for (const auto &entry :
-             io::PackCodec::minimizerTable(want_idx)) {
-            EXPECT_EQ(got_idx.frequency(entry.hash),
-                      want_idx.frequency(entry.hash));
-            const auto got_locs = got_idx.locations(entry.hash);
-            const auto want_locs = want_idx.locations(entry.hash);
-            ASSERT_EQ(got_locs.size(), want_locs.size());
-            for (size_t i = 0; i < want_locs.size(); ++i)
-                EXPECT_EQ(got_locs[i], want_locs[i]);
-        }
-    }
+    core::expectSameTables(loaded, fresh);
 }
 
 TEST_F(PackTest, MappingOutputBitIdenticalFreshVsLoaded)

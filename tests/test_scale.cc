@@ -1,19 +1,23 @@
 /**
  * @file
  * Tests for the human-scale reference features: the query-time
- * occurrence cap (edge cases and thread-count determinism of the
- * stratified subsample), the work-stealing sharded batch mapper
- * (bit-identical to a read-major mapRead loop at every thread count),
- * the shard residency LRU under a memory budget, legacy v1 pack
- * loading, the work-stealing scheduler itself, and the
- * multi-chromosome / tandem-repeat simulator growth.
+ * occurrence cap (edge cases, thread-count determinism of the
+ * stratified subsample, and the region flood it removes on a
+ * repeat-rich multi-chromosome genome), the work-stealing sharded
+ * batch mapper (bit-identical to a read-major sequential oracle at
+ * every thread count), the shard residency LRU under a memory budget,
+ * legacy v1 pack loading from a committed fixture, the work-stealing
+ * scheduler itself, and the multi-chromosome / tandem-repeat
+ * simulator growth.
  */
 
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <cstdio>
 #include <filesystem>
 #include <set>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -24,10 +28,15 @@
 #include "src/core/reference.h"
 #include "src/core/segram.h"
 #include "src/core/sharded_mapper.h"
+#include "src/eval/accuracy.h"
+#include "src/graph/gfa_import.h"
+#include "src/io/gfa.h"
 #include "src/io/pack.h"
+#include "src/io/paf.h"
 #include "src/seed/minseed.h"
 #include "src/sim/dataset.h"
 #include "src/sim/genome_sim.h"
+#include "src/util/dna.h"
 #include "src/util/rng.h"
 #include "src/util/thread_pool.h"
 #include "tests/map_test_util.h"
@@ -145,6 +154,113 @@ TEST(OccurrenceCap, SubsampleIsDeterministicAndBounded)
     EXPECT_TRUE(saw_capped_minimizer);
 }
 
+TEST(OccurrenceCap, CapCutsRepeatFloodWithSensitivityHeld)
+{
+    // A skew-length 8-chromosome genome, >= 10% planted repeats: one
+    // short dispersed motif family (~600 copies, the hot occurrence
+    // lists) and tandem arrays of private units (the bulk of the
+    // repeat content).
+    // The build-time frequency filter is off, so the query-time cap is
+    // the only frequency policy. Every hot read keeps long unique
+    // flanks, so capping must not lose its true locus — it must only
+    // remove the flood of motif copies an uncapped read aligns.
+    sim::MultiDatasetConfig config;
+    config.genome.numChromosomes = 8;
+    config.genome.totalLength = 2'000'000;
+    config.genome.repeats.repeatFraction = 0.03;
+    config.genome.repeats.repeatMotifLen = 100;
+    config.genome.repeats.repeatMotifCount = 1;
+    config.genome.repeats.tandemFraction = 0.10;
+    config.genome.repeats.tandemUnitLen = 50;
+    config.genome.repeats.tandemMaxCopies = 20;
+    config.seed = 20220618;
+    sim::RepeatReport planted;
+    auto datasets = sim::makeMultiDataset(config, &planted);
+    EXPECT_GE(static_cast<double>(planted.dispersedBases +
+                                  planted.tandemBases),
+              0.10 * static_cast<double>(config.genome.totalLength));
+
+    index::IndexConfig index_config;
+    index_config.sketch = {15, 10};
+    index_config.bucketBits = 16;
+    index_config.discardTopFraction = 0.0;
+    constexpr uint32_t kReads = 60;
+    sim::ReadSimConfig read_config{2'000, 0,
+                                   sim::ErrorProfile::pacbio(0.05)};
+    read_config.revCompProbability = 0.25;
+    Rng rng(config.seed);
+    std::vector<std::string> reads;
+    std::vector<eval::TruthRecord> truth;
+    std::vector<core::PreprocessedChromosome> chromosomes;
+    for (auto &dataset : datasets) {
+        // Reads per chromosome in proportion to its length, rounded
+        // down (55 reads in all).
+        read_config.numReads = static_cast<uint32_t>(
+            kReads * dataset.reference.size() /
+            config.genome.totalLength);
+        for (auto &read : sim::simulateReads(dataset.donor, read_config,
+                                             rng)) {
+            std::string name = "read";
+            name += std::to_string(reads.size());
+            truth.push_back({std::move(name), dataset.name, read.donorStart,
+                             read.truthLinearStart,
+                             read.reverseComplemented ? '-' : '+',
+                             static_cast<uint32_t>(read.seq.size()),
+                             read.plantedErrors, "pacbio"});
+            reads.push_back(std::move(read.seq));
+        }
+        auto index =
+            index::MinimizerIndex::build(dataset.graph, index_config);
+        chromosomes.push_back(
+            {dataset.name, std::move(dataset.graph), std::move(index)});
+    }
+    const core::PreprocessedReference reference(std::move(chromosomes));
+    const eval::AccuracyEvaluator evaluator(truth);
+    const auto views = viewsOf(reads);
+
+    // Regions aligned per read and sensitivity at occurrence cap @p cap.
+    const auto run = [&](uint32_t cap) {
+        core::SegramConfig segram;
+        segram.minseed.errorRate = 0.05;
+        segram.minseed.maxOccurrences = cap;
+        segram.bitalign.windowEditCap = std::max(
+            32, static_cast<int>(segram.bitalign.windowLen * 0.05 * 3));
+        segram.earlyExitFraction = 1.5;
+        segram.tryReverseComplement = true;
+        core::PipelineStats stats;
+        const auto results =
+            core::ShardedBatchMapper(reference, segram, {.threads = 2})
+                .mapBatch(std::span<const std::string_view>(views),
+                          &stats);
+        std::vector<io::PafRecord> records;
+        for (size_t i = 0; i < results.size(); ++i) {
+            if (!results[i].mapped)
+                continue;
+            size_t c = 0;
+            while (reference.name(c) != results[i].chromosome)
+                ++c;
+            records.push_back(io::makePafRecord(
+                truth[i].readName, reads[i].size(),
+                results[i].reverseComplemented ? '-' : '+',
+                results[i].chromosome, reference.graph(c).totalSeqLen(),
+                results[i].linearStart, results[i].cigar));
+        }
+        return std::pair{
+            static_cast<double>(stats.regionsAligned) /
+                static_cast<double>(reads.size()),
+            evaluator.evaluate("segram", records).overall.sensitivity()};
+    };
+    const auto [uncapped_regions, uncapped_sensitivity] = run(0);
+    const auto [capped_regions, capped_sensitivity] = run(8);
+    std::printf("%zu reads, regions aligned per read: uncapped %.1f, "
+                "capped %.1f (%.1fx); sensitivity %.4f -> %.4f\n",
+                reads.size(), uncapped_regions, capped_regions,
+                uncapped_regions / capped_regions, uncapped_sensitivity,
+                capped_sensitivity);
+    EXPECT_GE(uncapped_regions, 5.0 * capped_regions);
+    EXPECT_GE(capped_sensitivity + 0.01, uncapped_sensitivity);
+}
+
 // ---------------------------------------------------------------------
 // Sharded mapper vs monolithic, across thread counts
 // ---------------------------------------------------------------------
@@ -257,35 +373,61 @@ tempPackPath(const char *tag)
 
 TEST(PackBackCompat, Version1PackLoadsAndMapsIdentically)
 {
-    ShardedFixture fixture(0);
-    const auto views = viewsOf(fixture.reads);
-    const core::ShardedBatchMapper fresh(fixture.reference,
-                                         fixture.config, {});
-    const auto expected =
-        fresh.mapBatch(std::span<const std::string_view>(views));
+    // tiny_pangenome_v1.segram holds tiny_pangenome.gfa in the legacy
+    // version-1 layout (no ShardTable section), written by the last
+    // writer that could emit it, with bucketBits 8 and the default
+    // sketch and discard fraction.
+    const std::string data_dir = SEGRAM_TEST_DATA_DIR;
+    const std::string v1_path = data_dir + "/tiny_pangenome_v1.segram";
+    ASSERT_EQ(io::PackFile::open(v1_path).version(), 1u);
 
-    // Write the legacy layout explicitly: no ShardTable section.
-    std::vector<io::PackWriteEntry> entries;
-    for (size_t c = 0; c < fixture.reference.numChromosomes(); ++c)
-        entries.push_back({fixture.reference.name(c),
-                           &fixture.reference.graph(c),
-                           &fixture.reference.index(c)});
-    const std::string path = tempPackPath("v1");
-    io::writePack(path, entries, 1);
-
-    const auto loaded = core::PreprocessedReference::load(path);
-    ASSERT_EQ(loaded.numChromosomes(),
-              fixture.reference.numChromosomes());
+    index::IndexConfig index_config;
+    index_config.bucketBits = 8;
+    std::vector<core::PreprocessedChromosome> chromosomes;
+    for (auto &chromosome : graph::importGfa(
+             io::readGfaFile(data_dir + "/tiny_pangenome.gfa"))) {
+        auto index =
+            index::MinimizerIndex::build(chromosome.graph, index_config);
+        chromosomes.push_back({chromosome.name, std::move(chromosome.graph),
+                               std::move(index)});
+    }
+    const core::PreprocessedReference fresh(std::move(chromosomes));
+    const auto loaded = core::PreprocessedReference::load(v1_path);
+    core::expectSameTables(loaded, fresh);
     // Shard extents are derived from the section directory even
     // without a ShardTable, so v1 packs get residency control too.
     for (size_t c = 0; c < loaded.numChromosomes(); ++c)
         EXPECT_GT(loaded.shardBytes(c), 0u) << "chr " << c;
 
-    const core::ShardedBatchMapper mapper(loaded, fixture.config, {});
+    // Reads tiling the reference path, on both strands.
+    const io::GfaDocument doc =
+        io::readGfaFile(data_dir + "/tiny_pangenome.gfa");
+    std::string ref_walk;
+    for (const std::string &step : doc.paths.front().steps)
+        for (const io::GfaSegment &segment : doc.segments)
+            if (segment.name == step)
+                ref_walk += segment.seq;
+    std::vector<std::string> reads;
+    for (size_t start = 0; start + 80 <= ref_walk.size(); start += 40) {
+        reads.push_back(ref_walk.substr(start, 80));
+        reads.push_back(reverseComplement(reads.back()));
+    }
+    const auto views = viewsOf(reads);
+    core::SegramConfig config;
+    config.tryReverseComplement = true;
+    core::PipelineStats fresh_stats;
+    core::PipelineStats loaded_stats;
+    const auto expected =
+        core::ShardedBatchMapper(fresh, config, {})
+            .mapBatch(std::span<const std::string_view>(views),
+                      &fresh_stats);
+    EXPECT_GT(fresh_stats.readsMapped, 0u);
     expectSameResults(
-        mapper.mapBatch(std::span<const std::string_view>(views)),
+        core::ShardedBatchMapper(loaded, config, {})
+            .mapBatch(std::span<const std::string_view>(views),
+                      &loaded_stats),
         expected);
-    std::filesystem::remove(path);
+    expectSameStats(loaded_stats, fresh_stats);
 }
 
 TEST(ShardResidency, BudgetedMappingMatchesUnbudgetedAndEvicts)

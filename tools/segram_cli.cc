@@ -58,8 +58,8 @@
  *       --chromosomes > 1 the genome is split into skew-length
  *       chromosomes sharing dispersed repeat families (plus tandem
  *       arrays under --tandem-fraction), reads sampled per chromosome
- *       proportional to length — the scale harness behind
- *       bench_scale.
+ *       proportional to length — the repeat-rich multi-chromosome
+ *       shape perfbench and the occurrence-cap test map.
  *
  *   segram eval [--threshold N] <truth.tsv> <[name=]out.paf>...
  *       Accuracy evaluation: join each PAF file against the simulate
